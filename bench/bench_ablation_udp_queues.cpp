@@ -180,7 +180,7 @@ Outcome run_policy(bool save_queues) {
                                               {});
     map[img.old_id] = sid.value();
   }
-  (void)ckpt::Standalone::restore_processes(fresh, procs, map);
+  (void)ckpt::Standalone::restore_processes(fresh, std::move(procs), map);
   sim::Time t0 = cl.now();
   fresh.resume();
 

@@ -49,7 +49,7 @@ Bytes encode_header(const PodImageHeader& h) {
   return e.take();
 }
 
-Result<PodImageHeader> decode_header(const Bytes& b) {
+Result<PodImageHeader> decode_header(ByteView b) {
   Decoder d(b);
   auto magic = d.u32_();
   if (!magic || magic.value() != kImageMagic) {
@@ -101,7 +101,7 @@ Bytes encode_socket(const SocketImage& s) {
   return e.take();
 }
 
-Result<SocketImage> decode_socket(const Bytes& b) {
+Result<SocketImage> decode_socket(ByteView b) {
   Decoder d(b);
   SocketImage s;
   s.old_id = d.u32_().value_or(0);
@@ -164,7 +164,7 @@ Bytes encode_process(const ProcessImage& p) {
   return e.take();
 }
 
-Result<ProcessImage> decode_process(const Bytes& b) {
+Result<ProcessImage> decode_process(ByteView b) {
   Decoder d(b);
   ProcessImage p;
   p.vpid = d.i32_().value_or(0);
@@ -232,7 +232,7 @@ Bytes encode_meta_payload(const NetMeta& m) {
   return e.take();
 }
 
-Result<NetMeta> decode_meta_payload(const Bytes& b) {
+Result<NetMeta> decode_meta_payload(ByteView b) {
   Decoder d(b);
   NetMeta m;
   m.pod_vip.v = d.u32_().value_or(0);
@@ -275,10 +275,6 @@ std::size_t SocketImage::byte_size() const {
   std::size_t n = send_queue.size() + 128;  // queue + fixed fields
   for (const auto& item : recv_queue) n += item.data.size() + 12;
   return n;
-}
-
-std::size_t PodImage::total_bytes() const {
-  return encode_image(*this).size();
 }
 
 std::size_t PodImage::network_bytes() const {
@@ -423,7 +419,7 @@ Bytes encode_image(const PodImage& image) {
       head.put_u32(static_cast<u32>(bytes.size()));
       std::size_t before = w.size();
       w.write_split(RecordTag::MEM_REGION, kFormatVersion, head.bytes(),
-                    bytes.data(), bytes.size());
+                    bytes);
       account(RecordTag::MEM_REGION, before);
     }
   }
@@ -476,7 +472,7 @@ Result<PodImage> decode_image(const Bytes& data) {
       }
       case RecordTag::GM_DEVICE: {
         image.has_gm_device = true;
-        image.gm_state = record.payload;
+        image.gm_state.assign(record.payload.begin(), record.payload.end());
         break;
       }
       case RecordTag::REDIRECTED_SEND_Q: {
@@ -522,15 +518,16 @@ Result<PodImage> decode_image(const Bytes& data) {
         break;
       }
       case RecordTag::MEM_REGION: {
+        // The payload is borrowed from `data`; this is the one copy of
+        // the region's bytes on the decode path.
         Decoder d(record.payload);
         i32 vpid = d.i32_().value_or(0);
         std::string name = d.string_().value_or("");
-        Bytes bytes = d.bytes_().value_or({});
         auto it = proc_index.find(vpid);
         if (it == proc_index.end()) {
           return Status(Err::PROTO, "region for unknown vpid");
         }
-        image.processes[it->second].regions[name] = std::move(bytes);
+        image.processes[it->second].regions[name] = d.bytes_().value_or({});
         break;
       }
       case RecordTag::MEM_REGION_ZERO: {

@@ -189,7 +189,6 @@ struct PodImage {
   /// appended to the given socket's restored receive queue.
   std::map<net::SockId, Bytes> redirected_recv;
 
-  std::size_t total_bytes() const;
   std::size_t network_bytes() const;  // socket + meta records only
 };
 

@@ -57,13 +57,15 @@ class Standalone {
 
   /// Recreates one process in STOPPED state.  fd table entries are
   /// remapped through `socks`; Err::NO_ENT if the program kind is not
-  /// registered or a socket id is missing.
-  static Status restore_process(pod::Pod& pod, const ProcessImage& image,
+  /// registered or a socket id is missing.  The image's region bytes are
+  /// moved into the process, not copied; `image.regions` is consumed.
+  static Status restore_process(pod::Pod& pod, ProcessImage&& image,
                                 const SockMap& socks);
 
-  /// Restores all processes.
+  /// Restores all processes, moving each image's regions (see
+  /// restore_process); the vector keeps every other field.
   static Status restore_processes(pod::Pod& pod,
-                                  const std::vector<ProcessImage>& images,
+                                  std::vector<ProcessImage>&& images,
                                   const SockMap& socks);
 };
 

@@ -603,7 +603,7 @@ void Agent::ckpt_network_post(const std::shared_ptr<CkptOp>& op) {
     report.meta = op->image.meta;
     report.net_ckpt_us = cost;
     (void)op->mgr->send(encode_meta_report(report));
-    op->encoded_image = ckpt::encode_image(op->image);
+    op->set_encoded(ckpt::encode_image(op->image));
     ckpt_standalone_done(op);
   });
 }
@@ -719,7 +719,7 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
   if (op->cmd.pipelined) {
     auto uri = parse_uri(op->cmd.dest_uri);
     if (uri && uri.value().scheme == "agent") {
-      op->encoded_image = std::move(encoded);
+      op->set_encoded(std::move(encoded));
       ckpt_stream(op, uri.value().endpoint, uri.value().path);
       return;
     }
@@ -740,7 +740,7 @@ void Agent::ckpt_standalone(const std::shared_ptr<CkptOp>& op) {
                             std::to_string(op->image.header.delta_seq) + "]"
                       : ""),
              op->cmd.op_id, op->span_root);
-    op->encoded_image = std::move(encoded);
+    op->set_encoded(std::move(encoded));
     ckpt_standalone_done(op);
   });
 }
@@ -881,7 +881,7 @@ void Agent::ckpt_drain(const std::shared_ptr<CkptOp>& op) {
     op->span_drain = r->begin_at(node_.now(), "ckpt.drain", who(),
                                  op->span_root, op->cmd.op_id);
   }
-  op->encoded_image = ckpt::encode_image(op->image);
+  op->set_encoded(ckpt::encode_image(op->image));
   trace_op("5: background drain started for " + op->cmd.pod_name + " (" +
                std::to_string(op->encoded_image.size()) + " bytes, " +
                std::to_string(node_.san().active_drains()) +
@@ -936,14 +936,14 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   // a .tmp for the GC — the last committed image is never clobbered.
   op->san_tmp = uri.value().path + ".tmp";
   op->san_final = uri.value().path;
-  Status wst = node_.san().write(op->san_tmp, op->encoded_image);
+  Status wst = node_.san().write(op->san_tmp, std::move(op->encoded_image));
   if (!wst) {
     op->san_tmp.clear();
     return ckpt_drain_fail(op, "image write failed: " + wst.message(),
                            /*transient=*/true);
   }
-  auto back = node_.san().read(op->san_tmp);
-  if (!back || back.value().size() != op->encoded_image.size()) {
+  auto staged = node_.san().size_of(op->san_tmp);
+  if (!staged || staged.value() != op->image_size) {
     (void)node_.san().remove(op->san_tmp);
     op->san_tmp.clear();
     return ckpt_drain_fail(op, "image verification failed (torn write)",
@@ -993,7 +993,7 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
   trace_op("5a: image drained and committed to " + op->san_final + " (" +
-               std::to_string(op->encoded_image.size()) + " bytes, " +
+               std::to_string(op->image_size) + " bytes, " +
                std::to_string(op->dirtied_bytes) + " dirtied, " +
                std::to_string(op->throttled_us) + "us throttled, " +
                std::to_string(op->contended_us) + "us contended)",
@@ -1007,7 +1007,7 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   dd.op_id = op->cmd.op_id;
   dd.pod_name = op->cmd.pod_name;
   dd.ok = true;
-  dd.image_bytes = op->encoded_image.size();
+  dd.image_bytes = op->image_size;
   dd.drain_us = drain_us;
   dd.dirtied_bytes = op->dirtied_bytes;
   dd.throttled_us = op->throttled_us;
@@ -1099,15 +1099,17 @@ void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
     // with what is actually on the SAN.
     op->san_tmp = uri.value().path + ".tmp";
     op->san_final = uri.value().path;
-    Status wst = node_.san().write(op->san_tmp, op->encoded_image);
+    // The encoded image moves into the SAN object; only its size stays
+    // in the op, which is all the torn-write check below needs.
+    Status wst = node_.san().write(op->san_tmp, std::move(op->encoded_image));
     if (!wst) {
       op->san_tmp.clear();
       return ckpt_abort(op, "image write failed: " + wst.message(),
                         /*transient=*/true);
     }
-    // Read-back size verification catches short/torn writes pre-commit.
-    auto back = node_.san().read(op->san_tmp);
-    if (!back || back.value().size() != op->encoded_image.size()) {
+    // Staged-size verification catches short/torn writes pre-commit.
+    auto staged = node_.san().size_of(op->san_tmp);
+    if (!staged || staged.value() != op->image_size) {
       (void)node_.san().remove(op->san_tmp);
       op->san_tmp.clear();
       return ckpt_abort(op, "image verification failed (torn write)",
@@ -1239,7 +1241,7 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   done.op_id = op->cmd.op_id;
   done.pod_name = op->cmd.pod_name;
   done.ok = true;
-  done.image_bytes = op->encoded_image.size();
+  done.image_bytes = op->image_size;
   done.network_bytes = op->image.network_bytes();
   done.total_us = node_.now() - op->t_start;
   done.logical_bytes = op->logical_bytes;
@@ -1621,39 +1623,20 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
   }
   // Step 4: standalone restart.  The *logic* (rebuilding processes, fd
   // tables, region bytes) happens instantly either way; what differs is
-  // how the virtual time is charged.
-  Status st = ckpt::Standalone::restore_processes(*op->pod,
-                                                  op->image.processes,
-                                                  op->socks);
-  if (!st) return restart_finish(op, st);
-
+  // how the virtual time is charged.  Region sizes and the lazy ranking
+  // read the image's regions, so both are taken before restore_processes
+  // moves those regions into the pod.
+  const std::size_t nprocs = op->image.processes.size();
   u64 image_bytes = 0;
   for (const auto& p : op->image.processes) {
     for (const auto& [name, r] : p.regions) image_bytes += r.size();
   }
-
-  if (!op->cmd.pipelined) {
-    // Monolithic path: fetch + decode + rebuild charged serially as one
-    // blocking byte term.
-    sim::Time cost = costs_.standalone_restart_cost(
-        image_bytes, op->image.processes.size());
-    op->wm.enter("restart.standalone", node_.now(),
-                 node_.now() + slowdown(cost), image_bytes);
-    after(cost, [this, op, cost] {
-      if (op->finished || op->pod == nullptr) return;
-      obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
-      trace_op("4: standalone restart done for " + op->cmd.pod_name,
-               op->cmd.op_id, op->span_root);
-      restart_resume(op);
-    });
-    return;
-  }
-
   // Pipelined restore (DESIGN.md §13): rank regions by the working-set
   // signal persisted in the manifest; with cmd.lazy the cold tail is
   // deferred past resume and filled in the background / on demand fault.
-  op->hot_bytes = image_bytes;
-  if (op->cmd.lazy && image_bytes > 0) {
+  std::vector<RestartOp::ColdRegion> cold;
+  u64 lazy_bytes = 0;
+  if (op->cmd.pipelined && op->cmd.lazy && image_bytes > 0) {
     u32 permille = op->cmd.lazy_hot_permille != 0 ? op->cmd.lazy_hot_permille
                                                   : kDefaultHotPermille;
     if (permille > 1000) permille = 1000;
@@ -1692,21 +1675,44 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
       hot += ranked[i].bytes;
     }
     for (; i < ranked.size(); ++i) {
-      op->cold.push_back({ranked[i].vpid, *ranked[i].name, ranked[i].bytes});
-      op->lazy_total_bytes += ranked[i].bytes;
+      cold.push_back({ranked[i].vpid, *ranked[i].name, ranked[i].bytes});
+      lazy_bytes += ranked[i].bytes;
     }
-    op->hot_bytes = image_bytes - op->lazy_total_bytes;
-    op->lazy_remaining = op->cold.size();
-    if (!op->cold.empty()) {
-      for (const auto& c : op->cold) {
-        op->pod->mark_lazy_pending(c.vpid, c.name);
-      }
-      std::weak_ptr<RestartOp> wop = op;
-      op->pod->set_lazy_fault_handler(
-          [this, wop](i32 vpid, const std::string& name) {
-            if (auto sp = wop.lock()) restart_lazy_fault(sp, vpid, name);
-          });
+  }
+
+  Status st = ckpt::Standalone::restore_processes(
+      *op->pod, std::move(op->image.processes), op->socks);
+  if (!st) return restart_finish(op, st);
+
+  if (!op->cmd.pipelined) {
+    // Monolithic path: fetch + decode + rebuild charged serially as one
+    // blocking byte term.
+    sim::Time cost = costs_.standalone_restart_cost(image_bytes, nprocs);
+    op->wm.enter("restart.standalone", node_.now(),
+                 node_.now() + slowdown(cost), image_bytes);
+    after(cost, [this, op, cost] {
+      if (op->finished || op->pod == nullptr) return;
+      obs::metrics().histogram("agent.restart.standalone_us").observe(cost);
+      trace_op("4: standalone restart done for " + op->cmd.pod_name,
+               op->cmd.op_id, op->span_root);
+      restart_resume(op);
+    });
+    return;
+  }
+
+  op->hot_bytes = image_bytes - lazy_bytes;
+  op->lazy_total_bytes = lazy_bytes;
+  op->cold = std::move(cold);
+  op->lazy_remaining = op->cold.size();
+  if (!op->cold.empty()) {
+    for (const auto& c : op->cold) {
+      op->pod->mark_lazy_pending(c.vpid, c.name);
     }
+    std::weak_ptr<RestartOp> wop = op;
+    op->pod->set_lazy_fault_handler(
+        [this, wop](i32 vpid, const std::string& name) {
+          if (auto sp = wop.lock()) restart_lazy_fault(sp, vpid, name);
+        });
   }
 
   op->t_fetch_start = node_.now();
@@ -1719,8 +1725,7 @@ void Agent::restart_standalone(const std::shared_ptr<RestartOp>& op) {
            op->cmd.op_id, op->span_root);
   // Per-process control overhead up front, then the hot set streams
   // through the fetch → decode → rebuild pipeline chunk by chunk.
-  sim::Time fixed = costs_.restart_fixed +
-                    costs_.per_process * op->image.processes.size();
+  sim::Time fixed = costs_.restart_fixed + costs_.per_process * nprocs;
   after(fixed, [this, op] { restart_stream_chunk(op, 0, op->hot_bytes); });
 }
 

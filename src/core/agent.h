@@ -86,7 +86,12 @@ class Agent {
     sim::Time t_start = 0;
     sim::Time t_standalone_done = 0;
     ckpt::PodImage image;
-    Bytes encoded_image;
+    Bytes encoded_image;  // moved into the SAN by a san:// commit
+    u64 image_size = 0;   // encoded size, kept after that move
+    void set_encoded(Bytes b) {
+      image_size = b.size();
+      encoded_image = std::move(b);
+    }
     std::vector<RedirectData> redirects;  // to ship to peer agents
     u64 queued_bytes = 0;
     bool continue_received = false;

@@ -26,7 +26,7 @@ const char* record_tag_name(RecordTag tag) {
   return "unknown";
 }
 
-void RecordWriter::write(RecordTag tag, u16 version, const Bytes& payload) {
+void RecordWriter::write(RecordTag tag, u16 version, ByteView payload) {
   buf_.put_u32(static_cast<u32>(tag));
   buf_.put_u16(version);
   buf_.put_u64(payload.size());
@@ -34,23 +34,23 @@ void RecordWriter::write(RecordTag tag, u16 version, const Bytes& payload) {
   buf_.put_u32(record_crc(tag, version, payload));
 }
 
-void RecordWriter::write_split(RecordTag tag, u16 version, const Bytes& head,
-                               const u8* body, std::size_t body_len) {
-  buf_.reserve(4 + 2 + 8 + head.size() + body_len + 4);
+void RecordWriter::write_split(RecordTag tag, u16 version, ByteView head,
+                               ByteView body) {
+  buf_.reserve(4 + 2 + 8 + head.size() + body.size() + 4);
   buf_.put_u32(static_cast<u32>(tag));
   buf_.put_u16(version);
-  buf_.put_u64(head.size() + body_len);
+  buf_.put_u64(head.size() + body.size());
   buf_.put_raw(head.data(), head.size());
-  buf_.put_raw(body, body_len);
-  buf_.put_u32(record_crc_split(tag, version, head, body, body_len));
+  buf_.put_raw(body.data(), body.size());
+  buf_.put_u32(record_crc_split(tag, version, head, body));
 }
 
-u32 record_crc(RecordTag tag, u16 version, const Bytes& payload) {
-  return record_crc_split(tag, version, payload, nullptr, 0);
+u32 record_crc(RecordTag tag, u16 version, ByteView payload) {
+  return record_crc_split(tag, version, payload, {});
 }
 
-u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
-                     const u8* body, std::size_t body_len) {
+u32 record_crc_split(RecordTag tag, u16 version, ByteView head,
+                     ByteView body) {
   // The CRC covers the header fields too, so a bit flip anywhere in a
   // record is caught (the length is covered implicitly: a wrong length
   // misframes the payload).
@@ -60,7 +60,7 @@ u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
   u32 c = crc32_init();
   c = crc32_update(c, hdr.bytes().data(), hdr.bytes().size());
   c = crc32_update(c, head.data(), head.size());
-  if (body_len > 0) c = crc32_update(c, body, body_len);
+  c = crc32_update(c, body.data(), body.size());
   return crc32_final(c);
 }
 
@@ -80,11 +80,8 @@ Result<Record> RecordReader::next() {
                                 version.value(), payload.value())) {
     return Status(Err::PROTO, "record crc mismatch");
   }
-  Record r;
-  r.tag = static_cast<RecordTag>(tag.value());
-  r.version = version.value();
-  r.payload = std::move(payload).value();
-  return r;
+  return Record{static_cast<RecordTag>(tag.value()), version.value(),
+                payload.value()};
 }
 
 }  // namespace zapc

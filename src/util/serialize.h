@@ -87,6 +87,7 @@ class Decoder {
   // A Decoder only borrows the buffer; constructing one from a temporary
   // would leave it dangling immediately.
   explicit Decoder(const Bytes&&) = delete;
+  explicit Decoder(ByteView v) : p_(v.data()), n_(v.size()) {}
   Decoder(const u8* p, std::size_t n) : p_(p), n_(n) {}
 
   Result<u8> u8_() { return get_le<u8>(); }
@@ -148,12 +149,13 @@ class Decoder {
     return b;
   }
 
-  /// Reads `n` raw bytes (no length prefix).
-  Result<Bytes> raw(std::size_t n) {
+  /// Borrows the next `n` raw bytes (no length prefix) without copying;
+  /// the view lives as long as the decoded buffer.
+  Result<ByteView> raw(std::size_t n) {
     if (n > remaining()) return Status(Err::PROTO, "short raw");
-    Bytes b(p_ + off_, p_ + off_ + n);
+    ByteView v(p_ + off_, n);
     off_ += n;
-    return b;
+    return v;
   }
 
   std::size_t remaining() const { return n_ - off_; }
@@ -209,7 +211,7 @@ const char* record_tag_name(RecordTag tag);
 class RecordWriter {
  public:
   /// Appends one record built from `payload`.
-  void write(RecordTag tag, u16 version, const Bytes& payload);
+  void write(RecordTag tag, u16 version, ByteView payload);
 
   /// Convenience: frame an Encoder's buffer.
   void write(RecordTag tag, u16 version, Encoder&& enc) {
@@ -220,8 +222,7 @@ class RecordWriter {
   /// without first concatenating them.  Lets callers frame a small
   /// encoded prefix plus a large raw buffer (a memory region) with no
   /// intermediate payload copy.
-  void write_split(RecordTag tag, u16 version, const Bytes& head,
-                   const u8* body, std::size_t body_len);
+  void write_split(RecordTag tag, u16 version, ByteView head, ByteView body);
 
   /// Pre-sizes the underlying buffer (see Encoder::reserve).
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -235,23 +236,27 @@ class RecordWriter {
 };
 
 /// CRC covering a record's header fields and payload.
-u32 record_crc(RecordTag tag, u16 version, const Bytes& payload);
+u32 record_crc(RecordTag tag, u16 version, ByteView payload);
 
 /// Same CRC over a payload given as two spans (head + body).
-u32 record_crc_split(RecordTag tag, u16 version, const Bytes& head,
-                     const u8* body, std::size_t body_len);
+u32 record_crc_split(RecordTag tag, u16 version, ByteView head,
+                     ByteView body);
 
-/// One parsed record.
+/// One parsed record.  The payload is borrowed from the image the
+/// RecordReader walks, not copied: it stays valid only while that image
+/// does, and a caller that keeps payload bytes copies them itself.
 struct Record {
   RecordTag tag{};
   u16 version{};
-  Bytes payload;
+  ByteView payload;
 };
 
-/// Iterates the records of a checkpoint image, validating CRCs.
+/// Iterates the records of a checkpoint image, validating CRCs in place.
 class RecordReader {
  public:
   explicit RecordReader(const Bytes& image) : dec_(image) {}
+  // Records borrow from the image; a temporary would leave them dangling.
+  explicit RecordReader(const Bytes&&) = delete;
 
   /// Reads the next record; Err::NO_ENT at end of stream, Err::PROTO on
   /// corruption (bad CRC or truncated frame).

@@ -86,9 +86,14 @@ class [[nodiscard]] Result {
   const T& value() const& { return std::get<T>(v_); }
   T&& value() && { return std::get<T>(std::move(v_)); }
 
-  /// Returns the value or `fallback` on error.
-  T value_or(T fallback) const {
+  /// Returns the value or `fallback` on error.  On a temporary Result
+  /// the value is moved out, not copied (decoders call this on every
+  /// field, including multi-megabyte region bytes).
+  T value_or(T fallback) const& {
     return is_ok() ? std::get<T>(v_) : std::move(fallback);
+  }
+  T value_or(T fallback) && {
+    return is_ok() ? std::get<T>(std::move(v_)) : std::move(fallback);
   }
 
  private:

@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <vector>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace zapc {
 
@@ -17,6 +18,11 @@ using i64 = std::int64_t;
 
 /// Raw byte buffer; the unit of all queue, packet, and image payloads.
 using Bytes = std::vector<u8>;
+
+/// Read-only view of bytes owned elsewhere (a record payload borrowed
+/// from its image).  Valid only while the owning buffer is alive and
+/// unmodified.
+using ByteView = std::span<const u8>;
 
 /// Appends the contents of `src` to `dst`.
 inline void append_bytes(Bytes& dst, const Bytes& src) {

@@ -111,6 +111,36 @@ TEST(Image, TruncationRejected) {
   EXPECT_EQ(decode_image(data).err(), Err::PROTO);
 }
 
+TEST(Image, EveryTruncationAndByteFlipIsAnErrorStatus) {
+  // Record payloads are borrowed from the image buffer, so hostile bytes
+  // must be rejected by the framing and CRC checks before any decoder
+  // reads past them.  (The sanitize build runs this under ASan+UBSan.)
+  PodImage img = sample_image();
+  img.processes[0].regions["stack"] = Bytes(300, 0x5C);
+  const Bytes good = encode_image(img);
+  auto ok = decode_image(good);
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  ASSERT_EQ(ok.value().processes[0].regions.size(), 2u);
+  ASSERT_EQ(ok.value().sockets.size(), 1u);
+
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    Bytes prefix(good.begin(), good.begin() + static_cast<long>(len));
+    auto r = decode_image(prefix);
+    ASSERT_FALSE(r.is_ok()) << "prefix of " << len << " bytes decoded";
+  }
+  for (u8 mask : {u8{0x01}, u8{0xFF}}) {
+    Bytes bad = good;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      bad[i] ^= mask;
+      auto r = decode_image(bad);
+      ASSERT_FALSE(r.is_ok())
+          << "flip 0x" << std::hex << int{mask} << " at byte " << std::dec
+          << i << " decoded";
+      bad[i] ^= mask;
+    }
+  }
+}
+
 TEST(Image, MissingHeaderRejected) {
   RecordWriter w;
   w.write(RecordTag::IMAGE_END, 1, Bytes{});
@@ -131,7 +161,7 @@ TEST(Image, NetworkBytesAreSmallComparedToTotal) {
   // of magnitude more than the network data."
   PodImage img = sample_image();
   img.processes[0].regions["heap"] = Bytes(16 << 20, 1);
-  EXPECT_LT(img.network_bytes() * 100, img.total_bytes());
+  EXPECT_LT(img.network_bytes() * 100, encode_image(img).size());
 }
 
 TEST(Standalone, SaveRestoreProcessRoundTrip) {
@@ -156,7 +186,7 @@ TEST(Standalone, SaveRestoreProcessRoundTrip) {
   os::Node& n2 = cl.add_node("n2");
   pod::Pod pod2(n2, net::IpAddr(10, 77, 0, 2), "pod2");
   Standalone::restore_header(pod2, header);
-  ASSERT_TRUE(Standalone::restore_process(pod2, img, {}).is_ok());
+  ASSERT_TRUE(Standalone::restore_process(pod2, std::move(img), {}).is_ok());
 
   os::Process* q = pod2.find_process(pid);
   ASSERT_NE(q, nullptr);
@@ -203,7 +233,7 @@ TEST(Standalone, TimerRemainingSurvivesRestore) {
   cl.run_for(5 * sim::kSecond);  // long downtime
   os::Node& n2 = cl.add_node("n2");
   pod::Pod pod2(n2, net::IpAddr(10, 77, 0, 2), "pod2");
-  ASSERT_TRUE(Standalone::restore_process(pod2, img, {}).is_ok());
+  ASSERT_TRUE(Standalone::restore_process(pod2, std::move(img), {}).is_ok());
   os::Process* q = pod2.find_process(pid);
   // The timer still has ~10ms to go rather than having expired.
   EXPECT_EQ(q->timers().at(1), cl.now() + 10000);
@@ -216,7 +246,8 @@ TEST(Standalone, UnknownProgramKindFails) {
   ProcessImage img;
   img.vpid = 1;
   img.kind = "does.not.exist";
-  EXPECT_EQ(Standalone::restore_process(pod, img, {}).err(), Err::NO_ENT);
+  EXPECT_EQ(Standalone::restore_process(pod, std::move(img), {}).err(),
+            Err::NO_ENT);
 }
 
 TEST(Standalone, MissingSocketMappingFails) {
@@ -231,7 +262,8 @@ TEST(Standalone, MissingSocketMappingFails) {
   c.save(e);
   img.program_state = e.take();
   img.fds[3] = 99;  // no mapping provided
-  EXPECT_EQ(Standalone::restore_process(pod, img, {}).err(), Err::NO_ENT);
+  EXPECT_EQ(Standalone::restore_process(pod, std::move(img), {}).err(),
+            Err::NO_ENT);
 }
 
 }  // namespace

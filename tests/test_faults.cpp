@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/image.h"
 #include "core/agent.h"
 #include "core/manager.h"
 #include "fault/fault.h"
@@ -317,6 +318,9 @@ TEST_F(FaultTest, TornWriteNeverClobbersLastGoodImage) {
   auto cr = checkpoint(opts);
   EXPECT_FALSE(cr.ok);
   EXPECT_EQ(last_ledger().outcome, "aborted");
+  // Caught by the staged-size check, before the rename could commit it.
+  EXPECT_NE(last_ledger().error.find("torn write"), std::string::npos)
+      << last_ledger().error;
   expect_ledger_line_per_op();
   fault::injector().clear();
   cl_.run_for(3 * sim::kSecond);
@@ -580,6 +584,43 @@ TEST_F(FaultTest, SanWriteFailDuringDrainRetriesToSuccess) {
   EXPECT_EQ(ledger_.entries()[1].outcome, "ok");
   EXPECT_TRUE(cl_.san().exists("ckpt/server"));
   EXPECT_TRUE(cl_.san().exists("ckpt/client"));
+  expect_ledger_line_per_op();
+  EXPECT_EQ(wait_client(1), 0);
+  expect_no_temp_images();
+}
+
+TEST_F(FaultTest, TornDrainWriteIsCaughtAndRetried) {
+  start_app();
+  // The SAN silently truncates the drain's staged image object.
+  fault::FaultSpec s;
+  s.kind = fault::FaultKind::SAN_SHORT_WRITE;
+  s.san_prefix = "ckpt/";
+  s.short_bytes = 128;
+  arm(s);
+
+  Manager::CkptOptions opts;
+  opts.cow = true;
+  opts.deadlines = fast_deadlines();
+  opts.deadlines.drain_us = 2 * sim::kSecond;
+  opts.retry.max_retries = 1;
+  opts.retry.backoff_us = 100 * sim::kMillisecond;
+  auto cr = checkpoint(opts);
+
+  // The drain commit's staged-size check caught the torn object before
+  // the rename; the transient failure retried the whole op to success.
+  EXPECT_TRUE(cr.ok) << cr.error;
+  EXPECT_EQ(cr.attempts, 2u);
+  ASSERT_EQ(ledger_.entries().size(), 2u);
+  EXPECT_EQ(ledger_.entries()[0].outcome, "aborted");
+  EXPECT_TRUE(ledger_.entries()[0].transient);
+  EXPECT_NE(ledger_.entries()[0].error.find("torn write"), std::string::npos)
+      << ledger_.entries()[0].error;
+  EXPECT_EQ(ledger_.entries()[1].outcome, "ok");
+  for (const char* path : {"ckpt/server", "ckpt/client"}) {
+    auto image = cl_.san().read(path);
+    ASSERT_TRUE(image.is_ok()) << path;
+    EXPECT_TRUE(ckpt::decode_image(image.value()).is_ok()) << path;
+  }
   expect_ledger_line_per_op();
   EXPECT_EQ(wait_client(1), 0);
   expect_no_temp_images();

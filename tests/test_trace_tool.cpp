@@ -252,6 +252,60 @@ TEST(TraceAnalysis, RetransmitInsideStopTheWorldWindowIsAViolation) {
   EXPECT_TRUE(any_mentions(bad, "stop-the-world")) << bad.front();
 }
 
+/// Two COW pods colocated on one agent: p0 resumes at 170 and starts
+/// its drain at 180, p1 resumes later at `p1_resume` and drains at
+/// `p1_drain`.  Each drain must be judged against its own pod's window.
+obs::SpanRecorder colocated_cow(obs::OpId op, obs::Time p1_resume,
+                                obs::Time p1_drain) {
+  obs::SpanRecorder rec;
+  obs::SpanId root = rec.begin_at(100, "mgr.ckpt", "manager", 0, op);
+  obs::SpanId aroot = rec.begin_at(110, "ckpt", "agent@n1", root, op);
+  rec.event_at(110, "agent@n1", "1: suspend pod p0, block network", aroot,
+               op);
+  rec.event_at(111, "agent@n1", "1: suspend pod p1, block network", aroot,
+               op);
+  obs::SpanId net =
+      rec.begin_at(120, "ckpt.netckpt", "agent@n1", aroot, op);
+  rec.end_at(140, net);
+  obs::SpanId cont = rec.event_at(160, "manager", "mgr.continue", root, op);
+  rec.event_at(170, "agent@n1", "4: pod p0 resumed", aroot, op);
+  rec.event_at(170, "agent@n1", "agent.resume pod=p0", cont, op);
+  rec.event_at(p1_resume, "agent@n1", "4: pod p1 resumed", aroot, op);
+  rec.event_at(p1_resume, "agent@n1", "agent.resume pod=p1", cont, op);
+  obs::SpanId d0 = rec.begin_at(180, "ckpt.drain", "agent@n1", aroot, op);
+  rec.event_at(180, "agent@n1",
+               "5: background drain started for p0 (4096 bytes, 2 "
+               "concurrent drains)",
+               d0, op);
+  obs::SpanId d1 =
+      rec.begin_at(p1_drain, "ckpt.drain", "agent@n1", aroot, op);
+  rec.event_at(p1_drain, "agent@n1",
+               "5: background drain started for p1 (4096 bytes, 2 "
+               "concurrent drains)",
+               d1, op);
+  rec.end_at(400, d0);
+  rec.end_at(400, d1);
+  rec.event_at(410, "manager", "5: 'drain-done' received from p0", root, op);
+  rec.event_at(410, "manager", "5: 'drain-done' received from p1", root, op);
+  rec.end_at(410, aroot);
+  rec.end_at(420, root);
+  return rec;
+}
+
+TEST(TraceAnalysis, ColocatedCowPodsAreJudgedByTheirOwnWindow) {
+  // p0 drains (180) after its own resume (170) but before p1's (250):
+  // not a violation.  An agent-keyed window would compare p0's drain
+  // with p1's resume and report it.
+  obs::SpanRecorder ok = colocated_cow(26, 250, 260);
+  auto clean = validate_ops(ok.spans());
+  EXPECT_TRUE(clean.empty()) << clean.front();
+  // p1 draining (200) before its own resume (250) is still caught.
+  obs::SpanRecorder rec = colocated_cow(27, 250, 200);
+  auto bad = validate_ops(rec.spans());
+  ASSERT_FALSE(bad.empty());
+  EXPECT_TRUE(any_mentions(bad, "before its pod resumed")) << bad.front();
+}
+
 TEST(TraceAnalysis, RecvAckedInvariantAcrossRestoredPair) {
   auto make = [](u64 recv_a, u64 acked_b) {
     obs::SpanRecorder rec;

@@ -94,7 +94,13 @@ TEST(Records, WriteReadRoundTrip) {
   auto rec2 = r.next();
   ASSERT_TRUE(rec2.is_ok());
   EXPECT_EQ(rec2.value().tag, RecordTag::PROCESS);
-  Decoder d(rec2.value().payload);
+  // The payload is a view into the image, not a copy.
+  const ByteView payload = rec2.value().payload;
+  ASSERT_EQ(payload.size(), 4u);
+  EXPECT_GE(payload.data(), w.bytes().data());
+  EXPECT_LE(payload.data() + payload.size(),
+            w.bytes().data() + w.bytes().size());
+  Decoder d(payload);
   EXPECT_EQ(d.u32_().value(), 99u);
   EXPECT_EQ(r.next().err(), Err::NO_ENT);
 }
@@ -130,6 +136,78 @@ TEST(Crc32, KnownVector) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(Bytes{}), 0u); }
+
+// Random bytes with 16 bytes of slack so every start offset 0-15 can
+// read `len` bytes.
+Bytes random_bytes(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  Bytes b(n);
+  for (u8& v : b) v = static_cast<u8>(rng.next_u64());
+  return b;
+}
+
+u32 crc_bytewise(const u8* p, std::size_t n) {
+  return crc32_final(crc32_update_bytewise(crc32_init(), p, n));
+}
+
+TEST(Crc32, DispatchedUpdateMatchesBytewiseOverLengthsAndOffsets) {
+  // Lengths 0-5000 cross every boundary of the dispatch: below the 64
+  // byte fold minimum, the 16-byte aligned head, whole 64-byte folds,
+  // leftover 16-byte folds and the table-walked tail.
+  const Bytes buf = random_bytes(5000 + 16, 1);
+  Rng rng(2);
+  for (int i = 0; i < 2000; ++i) {
+    std::size_t len = rng.below(5001);
+    std::size_t off = rng.below(16);
+    const u8* p = buf.data() + off;
+    ASSERT_EQ(crc32(p, len), crc_bytewise(p, len))
+        << "len=" << len << " off=" << off;
+  }
+  // Every length around the fold thresholds, at every alignment.
+  for (std::size_t len = 0; len <= 200; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const u8* p = buf.data() + off;
+      ASSERT_EQ(crc32(p, len), crc_bytewise(p, len))
+          << "len=" << len << " off=" << off;
+    }
+  }
+}
+
+TEST(Crc32, ChainedUpdatesSplitAtRandomPointsMatchOneShot) {
+  const Bytes buf = random_bytes(5000, 3);
+  Rng rng(4);
+  for (int i = 0; i < 500; ++i) {
+    std::size_t len = rng.below(buf.size() + 1);
+    u32 state = crc32_init();
+    std::size_t pos = 0;
+    while (pos < len) {
+      std::size_t piece = rng.below(len - pos + 1);
+      state = crc32_update(state, buf.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc32_final(state), crc_bytewise(buf.data(), len))
+        << "len=" << len;
+  }
+}
+
+TEST(Crc32, Slice8FallbackMatchesBytewise) {
+  // The table walk is the whole algorithm on hosts without PCLMULQDQ;
+  // tested directly so hosts that fold still cover it.
+  const Bytes buf = random_bytes(5000 + 16, 5);
+  Rng rng(6);
+  for (int i = 0; i < 2000; ++i) {
+    std::size_t len = rng.below(5001);
+    std::size_t off = rng.below(16);
+    const u8* p = buf.data() + off;
+    ASSERT_EQ(crc32_final(crc32_update_slice8(crc32_init(), p, len)),
+              crc_bytewise(p, len))
+        << "len=" << len << " off=" << off;
+  }
+  Bytes check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32_final(crc32_update_slice8(crc32_init(), check.data(),
+                                            check.size())),
+            0xCBF43926u);
+}
 
 TEST(Rng, Deterministic) {
   Rng a(123), b(123);

@@ -277,17 +277,25 @@ std::vector<Violation> validate_ops_detailed(
     // ---- COW concurrent checkpointing invariants (DESIGN.md §11).
     {
       // Per-agent stop-the-world window: suspend event → resume event.
+      // Retransmit markers name no pod, so they are checked against it.
       struct Window {
         obs::Time suspend = 0, resume = 0;
       };
       std::map<std::string, Window> stw;  // by agent who
+      // Drains are checked against their own pod's resume, keyed by
+      // (agent, pod): two COW pods on one agent resume separately.
+      std::map<std::pair<std::string, std::string>, obs::Time> pod_resumed;
+      const std::string resume_marker = "4: pod ";
       for (const auto* r : t.records) {
         if (r->kind != obs::SpanKind::EVENT) continue;
         if (starts_with(r->name, "1: suspend pod ")) {
           stw[r->who].suspend = r->start;
-        } else if (starts_with(r->name, "4: pod ") &&
+        } else if (starts_with(r->name, resume_marker) &&
                    r->name.find(" resumed") != std::string::npos) {
           stw[r->who].resume = r->start;
+          const std::size_t n = resume_marker.size();
+          pod_resumed[{r->who, r->name.substr(n, r->name.find(' ', n) - n)}] =
+              r->start;
         }
       }
       for (const auto* r : t.records) {
@@ -321,9 +329,8 @@ std::vector<Violation> validate_ops_detailed(
                         obs::vtime_us(r->start) + ", before mgr.continue "
                         "at " + obs::vtime_us(cont->start));
         }
-        if (auto it = stw.find(r->who);
-            it != stw.end() && it->second.resume != 0 &&
-            r->start < it->second.resume) {
+        if (auto it = pod_resumed.find({r->who, pod});
+            it != pod_resumed.end() && r->start < it->second) {
           bad.push_back(r->who +
                         ": ckpt.drain started before its pod resumed "
                         "(drain work leaked into the downtime window)");
