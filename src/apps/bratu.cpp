@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "apps/result.h"
 #include "os/san.h"
 
 namespace zapc::apps {
@@ -158,7 +159,9 @@ os::StepResult BratuProgram::step(os::Syscalls& sys) {
         Encoder e;
         e.put_f64(residual_);
         e.put_u32(iter_);
-        sys.san().write("results/bratu", e.take());
+        if (!sys.san().write("results/bratu", e.take())) {
+          return StepResult::exit(kExitResultWriteFailed);
+        }
       }
       // Success = the solver actually reduced the residual.
       return StepResult::exit(residual_ < 1.0 ? 0 : 3);

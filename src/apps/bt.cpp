@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "apps/result.h"
 #include "os/san.h"
 
 namespace zapc::apps {
@@ -179,7 +180,9 @@ os::StepResult BtProgram::step(os::Syscalls& sys) {
         e.put_f64(norm_);
         e.put_f64(initial_norm_);
         e.put_u32(step_);
-        sys.san().write("results/bt", e.take());
+        if (!sys.san().write("results/bt", e.take())) {
+          return StepResult::exit(kExitResultWriteFailed);
+        }
       }
       // Diffusion must have decayed the mode monotonically toward 0.
       bool ok = std::isfinite(norm_) && norm_ < initial_norm_ && norm_ > 0;

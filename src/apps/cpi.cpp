@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/result.h"
 #include "os/san.h"
 
 namespace zapc::apps {
@@ -58,7 +59,9 @@ os::StepResult CpiProgram::step(os::Syscalls& sys) {
         // Verifiable output: |pi - PI| should be tiny.
         Encoder e;
         e.put_f64(last_pi_);
-        sys.san().write("results/cpi", e.take());
+        if (!sys.san().write("results/cpi", e.take())) {
+          return StepResult::exit(kExitResultWriteFailed);
+        }
       }
       return StepResult::exit(std::abs(last_pi_ - M_PI) < 1e-6 ? 0 : 3);
     }

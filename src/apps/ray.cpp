@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "apps/ray_scene.h"
+#include "apps/result.h"
 #include "os/san.h"
 
 namespace zapc::apps {
@@ -85,7 +86,9 @@ os::StepResult RayMaster::step(os::Syscalls& sys) {
     }
     case FINISH: {
       pvm_.progress(sys);
-      sys.san().write("results/ray.ppm", fb);
+      if (!sys.san().write("results/ray.ppm", fb)) {
+        return StepResult::exit(kExitResultWriteFailed);
+      }
       // Verify: the image must not be empty (sky alone is non-black) and
       // every band must have been written.
       u64 lit = 0;

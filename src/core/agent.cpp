@@ -776,12 +776,8 @@ void Agent::ckpt_stream(const std::shared_ptr<CkptOp>& op,
     const bool last = sent >= total;
     after(at, [this, op, raw, tag, off, n, last, t0, endpoint] {
       if (op->aborted) return;
-      StreamChunk chunk;
-      chunk.tag = tag;
-      chunk.data.assign(
-          op->encoded_image.begin() + static_cast<long>(off),
-          op->encoded_image.begin() + static_cast<long>(off + n));
-      (void)raw->send(encode_stream_chunk(chunk));
+      (void)raw->send(encode_stream_chunk(
+          tag, ByteView(op->encoded_image).subspan(off, n)));
       if (!last) return;
       (void)raw->send(encode_stream_close(StreamClose{tag}));
       ship_redirects(op, raw, endpoint);
@@ -1129,14 +1125,11 @@ void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
     out_channels_.push_back(std::move(ch));
     (void)raw->send(
         encode_stream_open(StreamOpen{op->cmd.op_id, uri.value().path}));
-    const Bytes& img = op->encoded_image;
+    const ByteView img = op->encoded_image;
     for (std::size_t off = 0; off < img.size(); off += kStreamChunk) {
       std::size_t n = std::min(kStreamChunk, img.size() - off);
-      StreamChunk chunk;
-      chunk.tag = uri.value().path;
-      chunk.data.assign(img.begin() + static_cast<long>(off),
-                        img.begin() + static_cast<long>(off + n));
-      (void)raw->send(encode_stream_chunk(chunk));
+      (void)raw->send(encode_stream_chunk(uri.value().path,
+                                          img.subspan(off, n)));
     }
     (void)raw->send(encode_stream_close(StreamClose{uri.value().path}));
     ship_redirects(op, raw, uri.value().endpoint);

@@ -54,8 +54,8 @@ Status MsgChannel::send(const Bytes& payload) {
   if (closed_) return Status(Err::PIPE, "channel closed");
   Encoder e;
   e.put_u32(static_cast<u32>(payload.size()));
-  tx_.insert(tx_.end(), e.bytes().begin(), e.bytes().end());
-  tx_.insert(tx_.end(), payload.begin(), payload.end());
+  tx_.append(e.bytes());
+  tx_.append(payload);
   bytes_sent_ += payload.size();
   arm();
   return Status::ok();
@@ -64,16 +64,16 @@ Status MsgChannel::send(const Bytes& payload) {
 void MsgChannel::flush() {
   if (closed_) return;
   while (!tx_.empty()) {
-    // Move a bounded chunk into a contiguous buffer for the send call.
+    // Offer a bounded run straight out of the queue; the socket copies
+    // what fits into its send buffer.
     std::size_t n = std::min<std::size_t>(tx_.size(), 64 * 1024);
-    Bytes chunk(tx_.begin(), tx_.begin() + static_cast<long>(n));
-    auto w = stack_.sys_send(sock_, chunk, 0);
+    auto w = stack_.sys_send(sock_, ByteView(tx_.data(), n), 0);
     if (!w.is_ok()) {
       if (w.err() == Err::WOULD_BLOCK) return;  // retry on next event
       mark_closed();
       return;
     }
-    tx_.erase(tx_.begin(), tx_.begin() + static_cast<long>(w.value()));
+    tx_.consume(w.value());
     if (w.value() < n) return;  // buffer full
   }
 }
@@ -95,21 +95,19 @@ void MsgChannel::pump() {
       eof_pending_ = true;
       break;
     }
-    append_bytes(rx_, r.value().data);
+    rx_.append(r.value().data);
   }
 
   // Extract complete frames into the delivery queue.  Each frame is
   // judged by the fault injector exactly once, here: a dropped frame is
   // never queued, a duplicated one is queued twice, and a stall holds
   // the whole channel's delivery (a hung peer) without blocking receipt.
-  std::size_t off = 0;
-  while (rx_.size() - off >= 4) {
-    Decoder d(rx_.data() + off, rx_.size() - off);
+  while (rx_.size() >= 4) {
+    Decoder d(rx_.data(), 4);
     u32 len = d.u32_().value_or(0);
-    if (rx_.size() - off - 4 < len) break;
-    Bytes payload(rx_.begin() + static_cast<long>(off + 4),
-                  rx_.begin() + static_cast<long>(off + 4 + len));
-    off += 4 + len;
+    if (rx_.size() - 4 < len) break;
+    Bytes payload = rx_.copy(4, len);
+    rx_.consume(4 + std::size_t{len});
     if (fault::injector().enabled() && !payload.empty()) {
       auto v = fault::injector().on_channel_msg(payload[0]);
       if (v.stall_us > 0) {
@@ -120,7 +118,6 @@ void MsgChannel::pump() {
     }
     rx_frames_.push_back(std::move(payload));
   }
-  if (off > 0) rx_.erase(rx_.begin(), rx_.begin() + static_cast<long>(off));
   deliver();  // closes the channel itself once eof_pending_ drains
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "net/stack.h"
+#include "util/byte_queue.h"
 
 namespace zapc::core {
 
@@ -55,10 +56,10 @@ class MsgChannel {
 
   net::Stack& stack_;
   net::SockId sock_;
-  Bytes rx_;
+  ByteQueue rx_;                 // received bytes, a partial frame at most
   std::deque<Bytes> rx_frames_;  // complete frames awaiting delivery
   u64 stall_until_ = 0;          // injected channel stall (virtual µs)
-  std::deque<u8> tx_;
+  ByteQueue tx_;                 // framed bytes the socket has not taken
   MsgFn on_msg_;
   ClosedFn on_closed_;
   bool closed_ = false;

@@ -350,10 +350,11 @@ Result<StreamOpen> decode_stream_open(const Bytes& msg) {
   return m;
 }
 
-Bytes encode_stream_chunk(const StreamChunk& m) {
+Bytes encode_stream_chunk(const std::string& tag, ByteView data) {
   Encoder e = header(MsgType::STREAM_CHUNK);
-  e.put_string(m.tag);
-  e.put_bytes(m.data);
+  e.reserve(4 + tag.size() + 4 + data.size());
+  e.put_string(tag);
+  e.put_bytes(data);
   return e.take();
 }
 
@@ -363,7 +364,8 @@ Result<StreamChunk> decode_stream_chunk(const Bytes& msg) {
   Decoder& d = dr.value();
   StreamChunk m;
   m.tag = d.string_().value_or("");
-  m.data = d.bytes_().value_or({});
+  auto len = d.u32_();
+  m.data = d.raw(len.value_or(0)).value_or(ByteView{});
   return m;
 }
 

@@ -264,7 +264,7 @@ struct StreamOpen {
 };
 struct StreamChunk {
   std::string tag;
-  Bytes data;
+  ByteView data;  // borrowed from the decoded message
 };
 struct StreamClose {
   std::string tag;
@@ -346,7 +346,8 @@ Bytes encode_restart_cmd(const RestartCmd& m);
 Bytes encode_restart_done(const RestartDone& m);
 Bytes encode_lazy_done(const LazyDone& m);
 Bytes encode_stream_open(const StreamOpen& m);
-Bytes encode_stream_chunk(const StreamChunk& m);
+/// Frames one chunk straight from a view of the sender's image.
+Bytes encode_stream_chunk(const std::string& tag, ByteView data);
 Bytes encode_stream_close(const StreamClose& m);
 Bytes encode_redirect_data(const RedirectData& m);
 Bytes encode_abort(const AbortMsg& m);
@@ -369,6 +370,7 @@ Result<RestartDone> decode_restart_done(const Bytes& msg);
 Result<LazyDone> decode_lazy_done(const Bytes& msg);
 Result<StreamOpen> decode_stream_open(const Bytes& msg);
 Result<StreamChunk> decode_stream_chunk(const Bytes& msg);
+Result<StreamChunk> decode_stream_chunk(const Bytes&& msg) = delete;
 Result<StreamClose> decode_stream_close(const Bytes& msg);
 Result<RedirectData> decode_redirect_data(const Bytes& msg);
 Result<AbortMsg> decode_abort(const Bytes& msg);

@@ -8,8 +8,8 @@ void MsgIo::send(u32 tag, const Bytes& data) {
   Encoder e;
   e.put_u32(tag);
   e.put_u32(static_cast<u32>(data.size()));
-  tx_.insert(tx_.end(), e.bytes().begin(), e.bytes().end());
-  tx_.insert(tx_.end(), data.begin(), data.end());
+  tx_.append(e.bytes());
+  tx_.append(data);
 }
 
 bool MsgIo::progress(os::Syscalls& sys) {
@@ -18,14 +18,13 @@ bool MsgIo::progress(os::Syscalls& sys) {
   // Transmit.
   while (!tx_.empty()) {
     std::size_t n = std::min<std::size_t>(tx_.size(), 64 * 1024);
-    Bytes chunk(tx_.begin(), tx_.begin() + static_cast<long>(n));
-    auto w = sys.send(fd_, chunk, 0);
+    auto w = sys.send(fd_, ByteView(tx_.data(), n), 0);
     if (!w.is_ok()) {
       if (w.err() == Err::WOULD_BLOCK) break;
       failed_ = true;
       return false;
     }
-    tx_.erase(tx_.begin(), tx_.begin() + static_cast<long>(w.value()));
+    tx_.consume(w.value());
     if (w.value() < n) break;
   }
 
@@ -43,24 +42,18 @@ bool MsgIo::progress(os::Syscalls& sys) {
       failed_ = true;
       break;
     }
-    append_bytes(rx_, r.value().data);
+    rx_.append(r.value().data);
   }
 
   // Reassemble frames.
-  std::size_t off = 0;
-  while (rx_.size() - off >= 8) {
-    Decoder d(rx_.data() + off, rx_.size() - off);
+  while (rx_.size() >= 8) {
+    Decoder d(rx_.data(), 8);
     u32 tag = d.u32_().value_or(0);
     u32 len = d.u32_().value_or(0);
-    if (rx_.size() - off - 8 < len) break;
-    Msg m;
-    m.tag = tag;
-    m.data.assign(rx_.begin() + static_cast<long>(off + 8),
-                  rx_.begin() + static_cast<long>(off + 8 + len));
-    inbox_.push_back(std::move(m));
-    off += 8 + len;
+    if (rx_.size() - 8 < len) break;
+    inbox_.push_back(Msg{tag, rx_.copy(8, len)});
+    rx_.consume(8 + std::size_t{len});
   }
-  if (off > 0) rx_.erase(rx_.begin(), rx_.begin() + static_cast<long>(off));
   return !failed_;
 }
 
@@ -84,8 +77,8 @@ std::optional<Msg> MsgIo::pop_tag(u32 tag) {
 
 void MsgIo::save(Encoder& e) const {
   e.put_i32(fd_);
-  e.put_bytes(Bytes(tx_.begin(), tx_.end()));
-  e.put_bytes(rx_);
+  e.put_bytes(tx_.view());
+  e.put_bytes(rx_.view());
   e.put_u32(static_cast<u32>(inbox_.size()));
   for (const Msg& m : inbox_) {
     e.put_u32(m.tag);
@@ -96,9 +89,10 @@ void MsgIo::save(Encoder& e) const {
 
 void MsgIo::load(Decoder& d) {
   fd_ = d.i32_().value_or(-1);
-  Bytes tx = d.bytes_().value_or({});
-  tx_.assign(tx.begin(), tx.end());
-  rx_ = d.bytes_().value_or({});
+  tx_.clear();
+  tx_.append(d.bytes_().value_or({}));
+  rx_.clear();
+  rx_.append(d.bytes_().value_or({}));
   inbox_.clear();
   u32 n = d.count_(9).value_or(0);
   for (u32 i = 0; i < n; ++i) {

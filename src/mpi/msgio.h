@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "os/program.h"
+#include "util/byte_queue.h"
 #include "util/serialize.h"
 
 namespace zapc::mpi {
@@ -56,8 +57,8 @@ class MsgIo {
 
  private:
   int fd_ = -1;
-  std::deque<u8> tx_;
-  Bytes rx_;
+  ByteQueue tx_;  // framed bytes the socket has not taken
+  ByteQueue rx_;  // received bytes, a partial frame at most
   std::deque<Msg> inbox_;
   bool failed_ = false;
 };

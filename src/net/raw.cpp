@@ -17,7 +17,7 @@ Status RawSocket::bind_proto(u8 raw_proto) {
   return Status::ok();
 }
 
-Result<std::size_t> RawSocket::do_send(const Bytes& data, u32 flags,
+Result<std::size_t> RawSocket::do_send(ByteView data, u32 flags,
                                        std::optional<SockAddr> to) {
   (void)flags;
   if (!to.has_value()) {
@@ -29,7 +29,7 @@ Result<std::size_t> RawSocket::do_send(const Bytes& data, u32 flags,
   p.raw_proto = raw_proto_;
   p.src = SockAddr{stack().vip(), 0};
   p.dst = SockAddr{to->ip, 0};
-  p.payload = data;
+  p.payload.assign(data.begin(), data.end());
   stack().output(std::move(p));
   return data.size();
 }

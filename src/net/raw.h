@@ -16,7 +16,7 @@ class RawSocket final : public Socket {
   Result<RecvResult> do_recvmsg(std::size_t maxlen, u32 flags) override;
   u32 do_poll() override;
   void do_release() override;
-  Result<std::size_t> do_send(const Bytes& data, u32 flags,
+  Result<std::size_t> do_send(ByteView data, u32 flags,
                               std::optional<SockAddr> to) override;
   Status do_connect(SockAddr peer) override;
   Status do_shutdown(ShutdownHow how) override;

@@ -139,7 +139,7 @@ class Socket {
 
   /// Other protocol operations (not interposed; the paper only needs the
   /// three receive-path methods).
-  virtual Result<std::size_t> do_send(const Bytes& data, u32 flags,
+  virtual Result<std::size_t> do_send(ByteView data, u32 flags,
                                       std::optional<SockAddr> to) = 0;
   virtual Status do_connect(SockAddr peer) = 0;
   virtual Status do_shutdown(ShutdownHow how) = 0;

@@ -150,13 +150,13 @@ Status Stack::sys_connect(SockId s, SockAddr peer) {
   return sock->do_connect(peer);
 }
 
-Result<std::size_t> Stack::sys_send(SockId s, const Bytes& data, u32 flags) {
+Result<std::size_t> Stack::sys_send(SockId s, ByteView data, u32 flags) {
   Socket* sock = find(s);
   if (sock == nullptr) return Status(Err::BAD_FD);
   return sock->do_send(data, flags, std::nullopt);
 }
 
-Result<std::size_t> Stack::sys_sendto(SockId s, const Bytes& data, u32 flags,
+Result<std::size_t> Stack::sys_sendto(SockId s, ByteView data, u32 flags,
                                       SockAddr to) {
   Socket* sock = find(s);
   if (sock == nullptr) return Status(Err::BAD_FD);

@@ -53,8 +53,9 @@ class Stack {
   Status sys_listen(SockId s, int backlog);
   Result<SockId> sys_accept(SockId s, SockAddr* peer);
   Status sys_connect(SockId s, SockAddr peer);
-  Result<std::size_t> sys_send(SockId s, const Bytes& data, u32 flags);
-  Result<std::size_t> sys_sendto(SockId s, const Bytes& data, u32 flags,
+  /// `data` is only read during the call (a Bytes converts implicitly).
+  Result<std::size_t> sys_send(SockId s, ByteView data, u32 flags);
+  Result<std::size_t> sys_sendto(SockId s, ByteView data, u32 flags,
                                  SockAddr to);
   Result<RecvResult> sys_recv(SockId s, std::size_t maxlen, u32 flags);
   Status sys_shutdown(SockId s, ShutdownHow how);

@@ -53,7 +53,7 @@ u32 TcpSocket::recv_window() const {
 
 // ---- Output path ----------------------------------------------------------
 
-void TcpSocket::send_segment(u32 seq, const Bytes& payload, u8 flags,
+void TcpSocket::send_segment(u32 seq, Bytes payload, u8 flags,
                              u32 urg_ptr) {
   Packet p;
   p.proto = Proto::TCP;
@@ -64,7 +64,7 @@ void TcpSocket::send_segment(u32 seq, const Bytes& payload, u8 flags,
   if (flags & kAck) p.ack = rcv_nxt_;
   p.wnd = recv_window();
   p.urg_ptr = urg_ptr;
-  p.payload = payload;
+  p.payload = std::move(payload);
   stack().output(std::move(p));
 }
 
@@ -102,8 +102,6 @@ void TcpSocket::try_output() {
     std::size_t can = std::min(
         {unsent_bytes(), static_cast<std::size_t>(snd_wnd_ - in_flight),
          mss});
-    Bytes payload(send_buf_.begin() + in_flight,
-                  send_buf_.begin() + in_flight + can);
     u8 flags = kAck;
     u32 urg_ptr = 0;
     if (urg_seq_snd_ && seq_ge(*urg_seq_snd_, snd_nxt_) &&
@@ -111,7 +109,7 @@ void TcpSocket::try_output() {
       flags |= kUrg;
       urg_ptr = *urg_seq_snd_;
     }
-    send_segment(snd_nxt_, payload, flags, urg_ptr);
+    send_segment(snd_nxt_, send_buf_.copy(in_flight, can), flags, urg_ptr);
     snd_nxt_ += static_cast<u32>(can);
   }
 
@@ -185,7 +183,6 @@ void TcpSocket::on_rtx_timeout() {
         data_len = std::min(
             data_len, static_cast<std::size_t>(snd_nxt_ - snd_una_));
         if (data_len > 0) {
-          Bytes payload(send_buf_.begin(), send_buf_.begin() + data_len);
           u8 flags = kAck;
           u32 urg_ptr = 0;
           if (urg_seq_snd_ && seq_ge(*urg_seq_snd_, snd_una_) &&
@@ -193,7 +190,8 @@ void TcpSocket::on_rtx_timeout() {
             flags |= kUrg;
             urg_ptr = *urg_seq_snd_;
           }
-          send_segment(snd_una_, payload, flags, urg_ptr);
+          send_segment(snd_una_, send_buf_.copy(0, data_len), flags,
+                       urg_ptr);
           // Go-back-N (classic RFC 6298 timeout behavior): a timeout
           // means the left edge — and in practice everything after it,
           // e.g. a whole window dropped by a checkpoint freeze — was
@@ -210,8 +208,8 @@ void TcpSocket::on_rtx_timeout() {
         // Zero-window probe: one byte beyond the window.  snd_nxt_ does
         // not advance — the byte is not considered sent until the window
         // opens (persist-timer semantics).
-        Bytes probe{send_buf_[snd_nxt_ - snd_una_]};
-        send_segment(snd_nxt_, probe, kAck, 0);
+        send_segment(snd_nxt_, Bytes{send_buf_[snd_nxt_ - snd_una_]}, kAck,
+                     0);
       }
       break;
     }
@@ -346,8 +344,7 @@ void TcpSocket::on_ack(const Packet& p) {
     u32 advanced = p.ack - snd_una_;
     std::size_t data_bytes =
         std::min<std::size_t>(advanced, send_buf_.size());
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<long>(data_bytes));
+    send_buf_.consume(data_bytes);
     obs::stats::net_tcp_send_queue().set(static_cast<i64>(send_buf_.size()));
     if (urg_seq_snd_ && seq_lt(*urg_seq_snd_, p.ack)) urg_seq_snd_.reset();
     snd_una_ = p.ack;
@@ -395,21 +392,31 @@ void TcpSocket::on_data(const Packet& p) {
   // Absorbs in-order bytes starting at rcv_nxt_, honouring the receive
   // buffer limit; returns how many bytes were accepted.  The urgent byte
   // is pulled to the side channel (unless SO_OOBINLINE) and costs no
-  // buffer space.
+  // buffer space, so it is taken even when the buffer filled exactly in
+  // front of it; a buffer that fills earlier stops the copy there.
   auto absorb = [&](const Bytes& payload, u32 base_seq, u32 start) -> u32 {
-    u32 accepted = 0;
-    for (u32 i = start; i < payload.size(); ++i) {
-      u32 byte_seq = base_seq + i;
-      bool is_urgent = urg_seq_rcv_ && byte_seq == *urg_seq_rcv_ &&
-                       opts().get(SockOpt::SO_OOBINLINE) == 0;
-      if (is_urgent) {
-        urg_data_ = payload[i];
-      } else {
-        if (recv_buf_.size() >= rcvbuf) break;  // window closed
-        recv_buf_.push_back(payload[i]);
-      }
-      ++accepted;
+    const std::size_t len = payload.size();
+    std::size_t urgent_at = len;  // none inside [start, len)
+    if (urg_seq_rcv_ && opts().get(SockOpt::SO_OOBINLINE) == 0) {
+      const std::size_t off = *urg_seq_rcv_ - base_seq;
+      if (off >= start && off < len) urgent_at = off;
     }
+    std::size_t i = start;
+    // Copies payload[i, end) as far as the buffer allows; true if all.
+    auto take_run = [&](std::size_t end) {
+      const std::size_t room =
+          recv_buf_.size() >= rcvbuf ? 0 : rcvbuf - recv_buf_.size();
+      const std::size_t n = std::min(end - i, room);
+      recv_buf_.append(payload.data() + i, n);
+      i += n;
+      return i == end;
+    };
+    if (take_run(urgent_at) && urgent_at < len) {
+      urg_data_ = payload[urgent_at];
+      ++i;
+      take_run(len);
+    }
+    const auto accepted = static_cast<u32>(i - start);
     rcv_nxt_ += accepted;
     return accepted;
   };
@@ -426,6 +433,7 @@ void TcpSocket::on_data(const Packet& p) {
         u32 s = it->first;
         u32 e = s + static_cast<u32>(it->second.size());
         if (seq_le(e, rcv_nxt_)) {
+          ooo_bytes_ -= it->second.size();
           it = ooo_.erase(it);  // fully stale
           continue;
         }
@@ -437,11 +445,16 @@ void TcpSocket::on_data(const Packet& p) {
             Bytes rest(it->second.begin() + (start + accepted),
                        it->second.end());
             u32 rest_seq = s + start + accepted;
+            ooo_bytes_ -= it->second.size();
             ooo_.erase(it);
-            ooo_[rest_seq] = std::move(rest);
+            Bytes& slot = ooo_[rest_seq];
+            ooo_bytes_ -= slot.size();
+            ooo_bytes_ += rest.size();
+            slot = std::move(rest);
             progressed = false;
             break;
           }
+          ooo_bytes_ -= it->second.size();
           it = ooo_.erase(it);
           progressed = true;
           continue;
@@ -454,17 +467,16 @@ void TcpSocket::on_data(const Packet& p) {
     // Future data: out-of-order reassembly queue (the checkpoint
     // deliberately discards this — the peer's send queue still holds it).
     obs::stats::net_tcp_out_of_order().inc();
-    auto it = ooo_.find(seg_seq);
-    if (it == ooo_.end() || it->second.size() < p.payload.size()) {
-      ooo_[seg_seq] = p.payload;
+    Bytes& slot = ooo_[seg_seq];
+    if (slot.size() < p.payload.size()) {
+      ooo_bytes_ += p.payload.size() - slot.size();
+      slot = p.payload;
     }
   }
   // else: entirely old duplicate; just re-ACK below.
 
   obs::stats::net_tcp_recv_queue().set(static_cast<i64>(recv_buf_.size()));
-  u64 ooo_bytes = 0;
-  for (const auto& [s, seg] : ooo_) ooo_bytes += seg.size();
-  obs::stats::net_tcp_ooo_queue().set(static_cast<i64>(ooo_bytes));
+  obs::stats::net_tcp_ooo_queue().set(static_cast<i64>(ooo_bytes_));
 
   send_ack();
 }
@@ -587,7 +599,7 @@ Status TcpSocket::do_connect(SockAddr peer) {
   return Status(Err::IN_PROGRESS);
 }
 
-Result<std::size_t> TcpSocket::do_send(const Bytes& data, u32 flags,
+Result<std::size_t> TcpSocket::do_send(ByteView data, u32 flags,
                                        std::optional<SockAddr> to) {
   if (to.has_value()) return Status(Err::ALREADY_CONNECTED, "sendto on TCP");
   if (error_ != Err::OK) return Status(take_error());
@@ -608,7 +620,7 @@ Result<std::size_t> TcpSocket::do_send(const Bytes& data, u32 flags,
   auto sndbuf = static_cast<std::size_t>(opts().get(SockOpt::SO_SNDBUF));
   if (send_buf_.size() >= sndbuf) return Status(Err::WOULD_BLOCK);
   std::size_t accepted = std::min(data.size(), sndbuf - send_buf_.size());
-  send_buf_.insert(send_buf_.end(), data.begin(), data.begin() + accepted);
+  send_buf_.append(data.data(), accepted);
   obs::stats::net_tcp_send_queue().set(static_cast<i64>(send_buf_.size()));
   if ((flags & MSG_OOB) != 0) {
     // The last byte written is the urgent byte (BSD semantics).
@@ -650,10 +662,9 @@ Result<RecvResult> TcpSocket::do_recvmsg(std::size_t maxlen, u32 flags) {
   std::size_t n = std::min(maxlen, recv_buf_.size());
   RecvResult r;
   r.from = remote();
-  r.data.assign(recv_buf_.begin(), recv_buf_.begin() + static_cast<long>(n));
+  r.data = recv_buf_.copy(0, n);
   if ((flags & MSG_PEEK) == 0) {
-    recv_buf_.erase(recv_buf_.begin(),
-                    recv_buf_.begin() + static_cast<long>(n));
+    recv_buf_.consume(n);
     obs::stats::net_tcp_recv_queue().set(static_cast<i64>(recv_buf_.size()));
     maybe_send_window_update(before);
   }

@@ -24,6 +24,7 @@
 #include "net/socket.h"
 #include "obs/span.h"
 #include "sim/engine.h"
+#include "util/byte_queue.h"
 
 namespace zapc::net {
 
@@ -58,7 +59,7 @@ class TcpSocket final : public Socket {
   Result<RecvResult> do_recvmsg(std::size_t maxlen, u32 flags) override;
   u32 do_poll() override;
   void do_release() override;
-  Result<std::size_t> do_send(const Bytes& data, u32 flags,
+  Result<std::size_t> do_send(ByteView data, u32 flags,
                               std::optional<SockAddr> to) override;
   Status do_connect(SockAddr peer) override;
   Status do_shutdown(ShutdownHow how) override;
@@ -117,7 +118,7 @@ class TcpSocket final : public Socket {
   /// the sequence of data send operations issued by the application", so
   /// reading it directly from the socket buffers is simple and portable.
   Bytes send_queue_contents() const {
-    return Bytes(send_buf_.begin(), send_buf_.end());
+    return send_buf_.copy(0, send_buf_.size());
   }
   std::size_t send_queue_len() const { return send_buf_.size(); }
   std::size_t recv_queue_len() const { return recv_buf_.size(); }
@@ -150,7 +151,7 @@ class TcpSocket final : public Socket {
 
   void enter_state(TcpState s);
   void try_output();
-  void send_segment(u32 seq, const Bytes& payload, u8 flags, u32 urg_ptr);
+  void send_segment(u32 seq, Bytes payload, u8 flags, u32 urg_ptr);
   void send_ack();
   void send_rst(const Packet& cause);
   void arm_rtx_timer();
@@ -187,10 +188,20 @@ class TcpSocket final : public Socket {
   u32 rcv_nxt_ = 0;   // next expected ("recv")
   u32 snd_wnd_ = 0;   // peer-advertised window
 
-  // Queues.
-  std::deque<u8> send_buf_;          // [snd_una_, snd_una_ + size)
-  std::deque<u8> recv_buf_;          // in-order bytes awaiting the app
-  std::map<u32, Bytes> ooo_;         // out-of-order segments by seq
+  // Queues.  Both byte queues are contiguous FIFOs: data moves in and
+  // out as whole runs (memcpy), never byte by byte.
+  //  - send_buf_ holds [snd_una_, snd_una_ + size): unacknowledged bytes
+  //    followed by unsent ones.  It keeps its own copy of every byte until
+  //    the peer ACKs it, because a retransmission re-reads it; each
+  //    segment's payload is a copy of a run of it.
+  //  - recv_buf_ holds in-order bytes awaiting the application (the
+  //    urgent byte is not among them unless SO_OOBINLINE).
+  //  - ooo_ holds segments that arrived ahead of rcv_nxt_, keyed by seq;
+  //    ooo_bytes_ is their payload total (the ooo-queue gauge).
+  ByteQueue send_buf_;
+  ByteQueue recv_buf_;
+  std::map<u32, Bytes> ooo_;
+  std::size_t ooo_bytes_ = 0;
 
   // Urgent data (single-byte, BSD style).
   std::optional<u8> urg_data_;

@@ -11,7 +11,7 @@ namespace zapc::net {
 UdpSocket::UdpSocket(Stack& stack, SockId id)
     : Socket(stack, id, Proto::UDP) {}
 
-Result<std::size_t> UdpSocket::do_send(const Bytes& data, u32 flags,
+Result<std::size_t> UdpSocket::do_send(ByteView data, u32 flags,
                                        std::optional<SockAddr> to) {
   (void)flags;  // MSG_OOB has no UDP meaning; ignored like Linux does
   if (data.size() > kMaxDatagram) return Status(Err::MSG_SIZE);
@@ -39,7 +39,7 @@ Result<std::size_t> UdpSocket::do_send(const Bytes& data, u32 flags,
   p.src = SockAddr{local().ip.is_any() ? stack().vip() : local().ip,
                    local().port};
   p.dst = dst;
-  p.payload = data;
+  p.payload.assign(data.begin(), data.end());
   stack().output(std::move(p));
   return data.size();
 }

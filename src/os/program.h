@@ -85,8 +85,8 @@ class Syscalls {
   virtual Status listen(int fd, int backlog) = 0;
   virtual Result<int> accept(int fd, net::SockAddr* peer) = 0;
   virtual Status connect(int fd, net::SockAddr peer) = 0;
-  virtual Result<std::size_t> send(int fd, const Bytes& data, u32 flags) = 0;
-  virtual Result<std::size_t> sendto(int fd, const Bytes& data, u32 flags,
+  virtual Result<std::size_t> send(int fd, ByteView data, u32 flags) = 0;
+  virtual Result<std::size_t> sendto(int fd, ByteView data, u32 flags,
                                      net::SockAddr to) = 0;
   virtual Result<net::RecvResult> recv(int fd, std::size_t maxlen,
                                        u32 flags) = 0;

@@ -41,13 +41,13 @@ Status PodSyscalls::connect(int fd, net::SockAddr peer) {
   return pod_.stack().sys_connect(s.value(), peer);
 }
 
-Result<std::size_t> PodSyscalls::send(int fd, const Bytes& data, u32 flags) {
+Result<std::size_t> PodSyscalls::send(int fd, ByteView data, u32 flags) {
   auto s = sock_of(fd);
   if (!s) return s.status();
   return pod_.stack().sys_send(s.value(), data, flags);
 }
 
-Result<std::size_t> PodSyscalls::sendto(int fd, const Bytes& data, u32 flags,
+Result<std::size_t> PodSyscalls::sendto(int fd, ByteView data, u32 flags,
                                         net::SockAddr to) {
   auto s = sock_of(fd);
   if (!s) return s.status();

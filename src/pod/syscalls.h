@@ -23,8 +23,8 @@ class PodSyscalls final : public os::Syscalls {
   Status listen(int fd, int backlog) override;
   Result<int> accept(int fd, net::SockAddr* peer) override;
   Status connect(int fd, net::SockAddr peer) override;
-  Result<std::size_t> send(int fd, const Bytes& data, u32 flags) override;
-  Result<std::size_t> sendto(int fd, const Bytes& data, u32 flags,
+  Result<std::size_t> send(int fd, ByteView data, u32 flags) override;
+  Result<std::size_t> sendto(int fd, ByteView data, u32 flags,
                              net::SockAddr to) override;
   Result<net::RecvResult> recv(int fd, std::size_t maxlen, u32 flags) override;
   Status shutdown(int fd, net::ShutdownHow how) override;

@@ -51,7 +51,7 @@ class Encoder {
   }
 
   /// Length-prefixed raw bytes.
-  void put_bytes(const Bytes& b) {
+  void put_bytes(ByteView b) {
     put_u32(static_cast<u32>(b.size()));
     buf_.insert(buf_.end(), b.begin(), b.end());
   }

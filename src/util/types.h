@@ -25,7 +25,7 @@ using Bytes = std::vector<u8>;
 using ByteView = std::span<const u8>;
 
 /// Appends the contents of `src` to `dst`.
-inline void append_bytes(Bytes& dst, const Bytes& src) {
+inline void append_bytes(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 

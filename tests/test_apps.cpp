@@ -12,8 +12,10 @@
 #include "apps/launcher.h"
 #include "apps/ray.h"
 #include "apps/ray_scene.h"
+#include "apps/result.h"
 #include "core/agent.h"
 #include "core/manager.h"
+#include "fault/fault.h"
 #include "os/cluster.h"
 
 namespace zapc::apps {
@@ -202,6 +204,65 @@ TEST(Apps, RayRenderingIsDeterministic) {
   ray::render_band(64, 48, 8, 16, a.data());
   ray::render_band(64, 48, 8, 16, b.data());
   EXPECT_EQ(a, b);
+}
+
+TEST(Apps, FailedResultWriteIsANonZeroExit) {
+  // A SAN fault on the result object must surface as the run's exit
+  // code, for every application, instead of a silent success.
+  auto run_with_failed_write = [](const std::string& app) {
+    TestRig rig(4);
+    fault::injector().clear();
+    fault::FaultSpec s;
+    s.kind = fault::FaultKind::SAN_WRITE_FAIL;
+    s.san_prefix = "results/";
+    fault::injector().arm(s);
+    JobHandle job;
+    if (app == "cpi") {
+      job = launch_cpi(rig, 4);
+    } else if (app == "bratu") {
+      job = launch_mpi_job(rig.agents, "bratu", 4, [](i32 r) {
+        BratuProgram::Params p;
+        p.n = 32;
+        p.iterations = 20;
+        p.size = 4;
+        p.rank = r;
+        return std::make_unique<BratuProgram>(p);
+      });
+    } else if (app == "bt") {
+      job = launch_mpi_job(rig.agents, "bt", 4, [](i32 r) {
+        BtProgram::Params p;
+        p.n = 32;
+        p.steps = 4;
+        p.size = 4;
+        p.rank = r;
+        return std::make_unique<BtProgram>(p);
+      });
+    } else {
+      RayMaster::Params mp;
+      mp.workers = 3;
+      mp.width = 32;
+      mp.height = 24;
+      job = launch_pvm_job(
+          rig.agents, "ray", 3,
+          [mp] { return std::make_unique<RayMaster>(mp); },
+          [mp](i32) {
+            RayWorker::Params wp;
+            wp.master = net::SockAddr{job_vips(4)[0], mp.port};
+            wp.width = mp.width;
+            return std::make_unique<RayWorker>(wp);
+          });
+    }
+    i32 code = rig.run_job(job);
+    EXPECT_EQ(fault::injector().fired(), 1u) << app;
+    fault::injector().clear();
+    EXPECT_FALSE(rig.cl.san().exists(
+        app == "ray" ? "results/ray.ppm" : "results/" + app))
+        << app;
+    return code;
+  };
+  for (const char* app : {"cpi", "bratu", "bt", "ray"}) {
+    EXPECT_EQ(run_with_failed_write(app), kExitResultWriteFailed) << app;
+  }
 }
 
 // ---- Checkpoint-restart of real applications --------------------------------

@@ -11,6 +11,7 @@
 #include "net/tcp.h"
 #include "os/cluster.h"
 #include "tests/guest_programs.h"
+#include "tests/helpers.h"
 
 namespace zapc::core {
 namespace {
@@ -75,6 +76,55 @@ TEST_F(ChannelTest, LargeMessageCrossesIntact) {
   ASSERT_TRUE(client->send(big).is_ok());
   cl_.run_for(2 * sim::kSecond);
   EXPECT_EQ(got, big);
+}
+
+TEST_F(ChannelTest, FramesBeyondSendBufferArriveInOrderUnderBackpressure) {
+  // Frames far larger in total than the socket's send buffer, queued in
+  // one instant: the channel must feed them through partial sends and
+  // WOULD_BLOCK retries without losing, reordering or tearing a frame.
+  std::vector<Bytes> frames;
+  frames.push_back(to_bytes("head"));
+  frames.push_back(Bytes{});
+  frames.push_back(test::pattern_bytes(70'000, 1));
+  frames.push_back(test::pattern_bytes(12 << 20, 2));
+  frames.push_back(to_bytes("after-big"));
+  for (u8 i = 0; i < 40; ++i) frames.push_back(test::pattern_bytes(1 + i * 997, i));
+  frames.push_back(test::pattern_bytes(300'000, 3));
+  frames.push_back(to_bytes("tail"));
+
+  std::vector<Bytes> got;
+  std::unique_ptr<MsgChannel> server_ch;
+  MsgServer server(n2_->host_stack(), 9000,
+                   [&](std::unique_ptr<MsgChannel> ch) {
+                     server_ch = std::move(ch);
+                     server_ch->set_on_msg(
+                         [&](Bytes msg) { got.push_back(std::move(msg)); });
+                   });
+  auto client = connect_channel(n1_->host_stack(),
+                                net::SockAddr{n2_->addr(), 9000});
+  ASSERT_NE(client, nullptr);
+  std::size_t total = 0;
+  for (const Bytes& f : frames) {
+    ASSERT_TRUE(client->send(f).is_ok());
+    total += 4 + f.size();
+  }
+  net::TcpSocket* sock = n1_->host_stack().find_tcp(client->sock());
+  ASSERT_NE(sock, nullptr);
+  const auto sndbuf =
+      static_cast<std::size_t>(sock->opts().get(net::SockOpt::SO_SNDBUF));
+  ASSERT_GT(total, 4 * sndbuf);
+
+  std::size_t fullest = 0;
+  for (int i = 0; i < 10000 && got.size() < frames.size(); ++i) {
+    cl_.run_for(sim::kMillisecond);
+    fullest = std::max(fullest, sock->send_queue_len());
+  }
+  EXPECT_EQ(fullest, sndbuf);  // the socket pushed back
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(got[i], frames[i]) << "frame " << i;
+  }
+  EXPECT_EQ(client->bytes_sent(), total - 4 * frames.size());
 }
 
 TEST_F(ChannelTest, PeerCloseTriggersOnClosed) {

@@ -190,6 +190,140 @@ TEST_F(TcpTest, UrgentDataInlineWithOobinline) {
   EXPECT_EQ(to_string(r.value().data), "abc");  // urgent byte stays inline
 }
 
+// ---- Urgent byte inside a multi-byte segment ------------------------------
+//
+// The tests above send the urgent byte in a segment of its own.  Here it
+// sits mid-segment: 4,000 bytes whose last byte is MSG_OOB, then 3,000
+// more, all lost on first transmission.  The retransmission timeout then
+// resends go-back-N at MSS 1460, so byte 3,999 travels at offset 1,079 of
+// the segment [2920, 4380).
+
+class TcpUrgentSegmentTest : public TcpTest {
+ protected:
+  static constexpr std::size_t kUrgentAt = 3999;
+  static constexpr std::size_t kTotal = 7000;
+
+  struct Outcome {
+    Bytes stream;
+    Result<RecvResult> oob{Err::WOULD_BLOCK};
+    u32 recv_advance = 0;  // receiver pcb_recv() after minus before
+    bool pcbs_agree = false;
+  };
+
+  /// Runs the lossy send described above.  `shrink_rcvbuf_to`, when
+  /// nonzero, shrinks the receiver's SO_RCVBUF once the first
+  /// retransmitted segment has been queued, so the sender still trusts
+  /// the old, larger window and the buffer fills mid-segment.
+  Outcome run(bool oobinline, std::size_t shrink_rcvbuf_to) {
+    auto [client, child] = connect_pair();
+    TcpSocket* tx = a_.find_tcp(client);
+    TcpSocket* rx = b_.find_tcp(child);
+    EXPECT_EQ(tx->opts().get(SockOpt::TCP_MAXSEG), 1460);
+    if (oobinline) {
+      EXPECT_TRUE(b_.sys_setsockopt(child, SockOpt::SO_OOBINLINE, 1).is_ok());
+    }
+    const u32 recv_before = rx->pcb_recv();
+    // Record where each URG segment carried the urgent byte.
+    bool urgent_mid_segment = false;
+    a_.set_output([&](Packet p) {
+      if (p.has(kUrg) && seq_gt(p.urg_ptr, p.seq) &&
+          seq_lt(p.urg_ptr + 1,
+                 p.seq + static_cast<u32>(p.payload.size()))) {
+        urgent_mid_segment = true;
+      }
+      net_.send(std::move(p));
+    });
+
+    Bytes data = pattern_bytes(kTotal);
+    Bytes head(data.begin(), data.begin() + kUrgentAt + 1);
+    Bytes tail(data.begin() + kUrgentAt + 1, data.end());
+    net_.set_loss(1.0);
+    EXPECT_EQ(a_.sys_send(client, head, MSG_OOB).value_or(0), head.size());
+    EXPECT_EQ(a_.sys_send(client, tail, 0).value_or(0), tail.size());
+    net_.set_loss(0.0);
+
+    if (shrink_rcvbuf_to != 0) {
+      for (int i = 0; i < 100000 && rx->recv_queue_len() == 0; ++i) {
+        net_.step_for(10 * sim::kMicrosecond);
+      }
+      EXPECT_EQ(rx->recv_queue_len(), 1460u);
+      EXPECT_TRUE(b_.sys_setsockopt(child, SockOpt::SO_RCVBUF,
+                                    static_cast<i64>(shrink_rcvbuf_to))
+                      .is_ok());
+      // Let the go-back-N burst land on the shrunken buffer.
+      net_.step_for(1 * sim::kMillisecond);
+      EXPECT_EQ(rx->recv_queue_len(), shrink_rcvbuf_to);
+      // Out of band, the urgent byte is taken behind the full buffer.
+      EXPECT_EQ(rx->pcb_recv() - recv_before,
+                oobinline ? kUrgentAt : kUrgentAt + 1);
+    }
+
+    Outcome out;
+    const std::size_t expect = oobinline ? kTotal : kTotal - 1;
+    for (int iter = 0; iter < 4000 && out.stream.size() < expect; ++iter) {
+      net_.step_for(5 * sim::kMillisecond);
+      while (true) {
+        auto r = b_.sys_recv(child, 65536, 0);
+        if (!r.is_ok() || r.value().eof) break;
+        append_bytes(out.stream, r.value().data);
+      }
+    }
+    net_.step_for(500 * sim::kMillisecond);  // final ACKs
+    EXPECT_TRUE(urgent_mid_segment);
+    out.oob = b_.sys_recv(child, 1, MSG_OOB);
+    out.recv_advance = rx->pcb_recv() - recv_before;
+    out.pcbs_agree = rx->pcb_recv() == tx->pcb_sent() &&
+                     tx->pcb_acked() == tx->pcb_sent();
+    return out;
+  }
+
+  static Bytes without_urgent_byte() {
+    Bytes data = pattern_bytes(kTotal);
+    data.erase(data.begin() + kUrgentAt);
+    return data;
+  }
+};
+
+TEST_F(TcpUrgentSegmentTest, MidSegmentUrgentByteGoesOutOfBand) {
+  Outcome o = run(false, 0);
+  EXPECT_EQ(o.stream, without_urgent_byte());
+  ASSERT_TRUE(o.oob.is_ok()) << o.oob.status().to_string();
+  EXPECT_EQ(o.oob.value().data, Bytes{pattern_bytes(kTotal)[kUrgentAt]});
+  EXPECT_TRUE(o.oob.value().oob);
+  EXPECT_EQ(o.recv_advance, kTotal);
+  EXPECT_TRUE(o.pcbs_agree);
+}
+
+TEST_F(TcpUrgentSegmentTest, WindowClosingAtTheUrgentByteStillTakesIt) {
+  // 3,999 buffered bytes fill the shrunken buffer exactly; the urgent
+  // byte behind them needs no buffer space and is taken, the byte after
+  // it is refused until the application reads.
+  Outcome o = run(false, kUrgentAt);
+  EXPECT_EQ(o.stream, without_urgent_byte());
+  ASSERT_TRUE(o.oob.is_ok()) << o.oob.status().to_string();
+  EXPECT_EQ(o.oob.value().data, Bytes{pattern_bytes(kTotal)[kUrgentAt]});
+  EXPECT_EQ(o.recv_advance, kTotal);
+  EXPECT_TRUE(o.pcbs_agree);
+}
+
+TEST_F(TcpUrgentSegmentTest, OobinlineKeepsMidSegmentUrgentByteInStream) {
+  Outcome o = run(true, 0);
+  EXPECT_EQ(o.stream, pattern_bytes(kTotal));
+  EXPECT_EQ(o.oob.err(), Err::INVALID);  // nothing out of band inline
+  EXPECT_EQ(o.recv_advance, kTotal);
+  EXPECT_TRUE(o.pcbs_agree);
+}
+
+TEST_F(TcpUrgentSegmentTest, OobinlineWindowEdgeAtTheUrgentByte) {
+  // Inline, the urgent byte costs buffer space like any other, so the
+  // shrunken buffer closes one byte before it.
+  Outcome o = run(true, kUrgentAt);
+  EXPECT_EQ(o.stream, pattern_bytes(kTotal));
+  EXPECT_EQ(o.oob.err(), Err::INVALID);
+  EXPECT_EQ(o.recv_advance, kTotal);
+  EXPECT_TRUE(o.pcbs_agree);
+}
+
 TEST_F(TcpTest, OrderlyShutdownDeliversEof) {
   auto [client, child] = connect_pair();
   ASSERT_TRUE(a_.sys_send(client, to_bytes("bye"), 0).is_ok());

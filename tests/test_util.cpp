@@ -1,6 +1,9 @@
 // Unit tests for util: serialization, records, crc32, status, rng.
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "util/byte_queue.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -207,6 +210,90 @@ TEST(Crc32, Slice8FallbackMatchesBytewise) {
   EXPECT_EQ(crc32_final(crc32_update_slice8(crc32_init(), check.data(),
                                             check.size())),
             0xCBF43926u);
+}
+
+TEST(ByteQueue, AppendConsumeKeepFifoOrder) {
+  ByteQueue q;
+  EXPECT_TRUE(q.empty());
+  q.append(to_bytes("hello, "));
+  q.append(to_bytes("world"));
+  ASSERT_EQ(q.size(), 12u);
+  EXPECT_EQ(q[0], 'h');
+  EXPECT_EQ(q[11], 'd');
+  q.consume(7);
+  EXPECT_EQ(to_string(q.copy(0, q.size())), "world");
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(q.data()), q.size()),
+            "world");
+  q.consume(100);  // clamped to what is queued
+  EXPECT_TRUE(q.empty());
+  q.append(nullptr, 0);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ByteQueue, CopyAtOffsetsLeavesQueueUnchanged) {
+  ByteQueue q;
+  Bytes data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<u8>(i * 7);
+  }
+  q.append(data);
+  q.consume(100);
+  for (std::size_t off : {0, 1, 450, 899}) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, 900 - off}) {
+      Bytes want(data.begin() + static_cast<long>(100 + off),
+                 data.begin() + static_cast<long>(100 + off + n));
+      EXPECT_EQ(q.copy(off, n), want) << off << "+" << n;
+    }
+  }
+  EXPECT_EQ(q.size(), 900u);
+  EXPECT_EQ(q.copy(0, 900), Bytes(data.begin() + 100, data.end()));
+}
+
+TEST(ByteQueue, CompactionPreservesContentsAgainstReferenceDeque) {
+  // Interleave appends and consumes so the head crosses half the buffer
+  // many times; the queue must always match a byte-at-a-time deque.
+  Rng rng(11);
+  ByteQueue q;
+  std::deque<u8> ref;
+  u8 next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    Bytes chunk(rng.below(3000));
+    for (u8& b : chunk) b = next++;
+    q.append(chunk);
+    ref.insert(ref.end(), chunk.begin(), chunk.end());
+    std::size_t drop = rng.below(3500);
+    q.consume(drop);
+    ref.erase(ref.begin(),
+              ref.begin() + static_cast<long>(std::min(drop, ref.size())));
+    ASSERT_EQ(q.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(q[0], ref.front());
+      ASSERT_EQ(q[q.size() - 1], ref.back());
+    }
+  }
+  EXPECT_EQ(q.copy(0, q.size()), Bytes(ref.begin(), ref.end()));
+}
+
+TEST(ByteQueue, DrainReleasesCapacityAboveRetainedLimit) {
+  ByteQueue q;
+  q.append(Bytes(4 << 20, 0xAB));
+  EXPECT_GE(q.capacity(), std::size_t{4} << 20);
+  q.consume(q.size() - 1);
+  EXPECT_GE(q.capacity(), std::size_t{4} << 20);  // not drained yet
+  q.consume(1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_LE(q.capacity(), ByteQueue::kRetainedCapacity);
+
+  // A small queue keeps its buffer across drains.
+  q.append(Bytes(1000, 1));
+  const std::size_t cap = q.capacity();
+  q.consume(1000);
+  EXPECT_EQ(q.capacity(), cap);
+
+  q.append(Bytes(1 << 20, 2));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_LE(q.capacity(), ByteQueue::kRetainedCapacity);
 }
 
 TEST(Rng, Deterministic) {
