@@ -13,44 +13,6 @@
 namespace zapc::core {
 namespace {
 
-/// Parses "san://<path>", "agent://<ip>:<port>/<tag>", "stream://<tag>".
-struct Uri {
-  std::string scheme;
-  std::string path;        // san path or stream tag
-  net::SockAddr endpoint;  // agent scheme only
-};
-
-Result<Uri> parse_uri(const std::string& s) {
-  auto sep = s.find("://");
-  if (sep == std::string::npos) return Status(Err::INVALID, "bad uri " + s);
-  Uri u;
-  u.scheme = s.substr(0, sep);
-  std::string rest = s.substr(sep + 3);
-  if (u.scheme == "san" || u.scheme == "stream") {
-    u.path = rest;
-    return u;
-  }
-  if (u.scheme == "agent") {
-    auto slash = rest.find('/');
-    if (slash == std::string::npos) {
-      return Status(Err::INVALID, "agent uri missing tag: " + s);
-    }
-    u.path = rest.substr(slash + 1);
-    std::string hostport = rest.substr(0, slash);
-    auto colon = hostport.find(':');
-    if (colon == std::string::npos) {
-      return Status(Err::INVALID, "agent uri missing port: " + s);
-    }
-    auto ip = net::IpAddr::parse(hostport.substr(0, colon));
-    if (!ip) return ip.status();
-    u.endpoint.ip = ip.value();
-    u.endpoint.port = static_cast<u16>(
-        std::stoul(hostport.substr(colon + 1)));
-    return u;
-  }
-  return Status(Err::INVALID, "unknown uri scheme: " + s);
-}
-
 constexpr std::size_t kStreamChunk = 256 * 1024;
 
 /// Default share of region bytes restored eagerly when a lazy restart
@@ -206,23 +168,18 @@ void Agent::publish_beacon(MsgChannel* mgr, obs::OpId op_id,
            op_id, parent);
 }
 
-void Agent::ckpt_beacon(const std::shared_ptr<CkptOp>& op) {
-  if (op->finished || op->aborted) return;
+template <typename Op>
+void Agent::beacon(const std::shared_ptr<Op>& op) {
+  // A checkpoint beacons until its drain (if any) ends, a restart until
+  // RESTART_DONE; an aborted op is finished too.
+  if (op->finished) return;
   ++op->hb_seq;
   publish_beacon(op->mgr, op->cmd.op_id, op->cmd.pod_name, op->hb_seq,
                  op->wm, op->span_root);
   // after() dilates the interval on an injected slow node — its
   // userspace beacon loop is slow like everything else there, and each
   // (rarer) beacon still carries an honest watermark.
-  after(op->cmd.heartbeat_us, [this, op] { ckpt_beacon(op); });
-}
-
-void Agent::restart_beacon(const std::shared_ptr<RestartOp>& op) {
-  if (op->finished) return;
-  ++op->hb_seq;
-  publish_beacon(op->mgr, op->cmd.op_id, op->cmd.pod_name, op->hb_seq,
-                 op->wm, op->span_root);
-  after(op->cmd.heartbeat_us, [this, op] { restart_beacon(op); });
+  after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
 }
 
 // ---- Supervised mode (DESIGN.md §12) ----------------------------------------
@@ -450,7 +407,7 @@ void Agent::ckpt_begin(Conn* conn, CheckpointCmd cmd) {
 
   op->wm.enter("ckpt.suspend");
   if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { ckpt_beacon(op); });
+    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
   }
 
   // Step 1: suspend the pod and block its network.
@@ -927,49 +884,17 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
     return ckpt_drain_fail(op, uri.status().to_string(), /*transient=*/false);
   }
 
-  // Same two-phase commit as the blocking path: stage at `<path>.tmp`,
-  // verify, rename.  A drain that dies anywhere in here leaves at worst
-  // a .tmp for the GC — the last committed image is never clobbered.
-  op->san_tmp = uri.value().path + ".tmp";
-  op->san_final = uri.value().path;
-  Status wst = node_.san().write(op->san_tmp, std::move(op->encoded_image));
-  if (!wst) {
-    op->san_tmp.clear();
-    return ckpt_drain_fail(op, "image write failed: " + wst.message(),
-                           /*transient=*/true);
-  }
-  auto staged = node_.san().size_of(op->san_tmp);
-  if (!staged || staged.value() != op->image_size) {
-    (void)node_.san().remove(op->san_tmp);
-    op->san_tmp.clear();
-    return ckpt_drain_fail(op, "image verification failed (torn write)",
-                           /*transient=*/true);
-  }
-  Status cst = node_.san().rename(op->san_tmp, op->san_final);
-  if (!cst) {
-    return ckpt_drain_fail(op, "image commit failed: " + cst.message(),
-                           /*transient=*/true);
-  }
-  op->san_tmp.clear();
-  obs::metrics().counter("ckpt.commit.committed").inc();
+  // Same two-phase commit as the blocking path, back to back.  A drain
+  // that dies anywhere in here leaves at worst a .tmp for the GC — the
+  // last committed image is never clobbered.  (With the drain pending,
+  // a failing step's ckpt_abort reports on the DRAIN_DONE leg.)
+  if (!san_stage(op, uri.value().path) || !san_commit(op)) return;
 
-  IncrState& ist = incr_[op->cmd.pod_name];
-  if (op->is_delta) {
-    ist.chain_len += 1;
-    ist.delta_seq = op->image.header.delta_seq;
-  } else {
-    ist.chain_uris.clear();
-    ist.chain_len = 0;
-    ist.delta_seq = 0;
-  }
-  ist.chain_uris.insert(op->san_final);
-  ist.last_uri = op->cmd.dest_uri;
-  ist.base = ckpt::DeltaBaseline::from_images(op->image.processes);
-  ist.valid = true;
   // COW tax, part 2: regions dirtied during the drain are stale in this
   // baseline.  Poison their recorded generations (no live region ever
   // reaches ~0) so the next incremental delta re-emits them instead of
   // wrongly treating them as clean.
+  IncrState& ist = incr_[op->cmd.pod_name];
   u64 budget = op->dirtied_bytes;
   for (const auto& p : op->image.processes) {
     for (const auto& [name, meta] : p.manifest) {
@@ -984,8 +909,10 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
   op->finished = true;
   node_.san().stream_end(op->san_stream);
   op->san_stream = 0;
-  const u64 drain_us = node_.now() - op->t_drain_start;
-  obs::metrics().histogram("agent.ckpt.drain_us").observe(drain_us);
+  DrainDone dd = drain_report(*op);
+  dd.ok = true;
+  dd.image_bytes = op->image_size;
+  obs::metrics().histogram("agent.ckpt.drain_us").observe(dd.drain_us);
   obs::metrics().histogram("agent.ckpt.cow_dirtied_bytes")
       .observe(op->dirtied_bytes);
   trace_op("5a: image drained and committed to " + op->san_final + " (" +
@@ -998,19 +925,6 @@ void Agent::ckpt_drain_commit(const std::shared_ptr<CkptOp>& op) {
     r->end_at(node_.now(), op->span_drain);
     r->end_at(node_.now(), op->span_root);
   }
-
-  DrainDone dd;
-  dd.op_id = op->cmd.op_id;
-  dd.pod_name = op->cmd.pod_name;
-  dd.ok = true;
-  dd.image_bytes = op->image_size;
-  dd.drain_us = drain_us;
-  dd.dirtied_bytes = op->dirtied_bytes;
-  dd.throttled_us = op->throttled_us;
-  dd.contended_us = op->contended_us;
-  dd.granted_bps = op->drain_busy_us > 0
-                       ? op->drained_bytes * sim::kSecond / op->drain_busy_us
-                       : 0;
   if (op->mgr != nullptr && op->mgr->open()) {
     (void)op->mgr->send(encode_drain_done(dd));
   }
@@ -1024,12 +938,7 @@ void Agent::ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
   op->drain_pending = false;
   node_.san().stream_end(op->san_stream);
   op->san_stream = 0;
-  if (!op->san_tmp.empty()) {
-    if (node_.san().remove(op->san_tmp).is_ok()) {
-      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-    }
-    op->san_tmp.clear();
-  }
+  san_gc(op);
   ZLOG_WARN("agent@" << node_.name() << ": drain of " << op->cmd.pod_name
                      << " failed: " << why);
   obs::dump_op_failure(rec(), "ckpt_drain_fail", op->cmd.op_id, who(), why,
@@ -1042,22 +951,25 @@ void Agent::ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
   // The pod is already running: a failed drain loses only this
   // checkpoint attempt, never application state.
   if (op->mgr != nullptr && op->mgr->open()) {
-    DrainDone dd;
-    dd.op_id = op->cmd.op_id;
-    dd.pod_name = op->cmd.pod_name;
-    dd.ok = false;
+    DrainDone dd = drain_report(*op);
     dd.error = why;
     dd.transient = transient;
-    dd.drain_us =
-        op->t_drain_start > 0 ? node_.now() - op->t_drain_start : 0;
-    dd.dirtied_bytes = op->dirtied_bytes;
-    dd.throttled_us = op->throttled_us;
-    dd.contended_us = op->contended_us;
-    dd.granted_bps = op->drain_busy_us > 0
-                         ? op->drained_bytes * sim::kSecond / op->drain_busy_us
-                         : 0;
     (void)op->mgr->send(encode_drain_done(dd));
   }
+}
+
+DrainDone Agent::drain_report(const CkptOp& op) const {
+  DrainDone dd;
+  dd.op_id = op.cmd.op_id;
+  dd.pod_name = op.cmd.pod_name;
+  dd.drain_us = op.t_drain_start > 0 ? node_.now() - op.t_drain_start : 0;
+  dd.dirtied_bytes = op.dirtied_bytes;
+  dd.throttled_us = op.throttled_us;
+  dd.contended_us = op.contended_us;
+  dd.granted_bps = op.drain_busy_us > 0
+                       ? op.drained_bytes * sim::kSecond / op.drain_busy_us
+                       : 0;
+  return dd;
 }
 
 void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
@@ -1081,36 +993,85 @@ void Agent::ship_redirects(const std::shared_ptr<CkptOp>& op, MsgChannel* raw,
   }
 }
 
+// ---- Two-phase SAN commit --------------------------------------------------
+//
+// A checkpoint image is staged at `<path>.tmp` and only replaces the
+// previous image by rename, past the continue barrier (a COW drain stages
+// and commits back to back after the pod resumed).  Until then an abort
+// or crash leaves the last committed image untouched — at worst a .tmp
+// for the GC — and the incremental chain state, advanced only at commit,
+// stays in sync with what is actually on the SAN.  A failing step aborts
+// the op and returns false.
+
+bool Agent::san_stage(const std::shared_ptr<CkptOp>& op,
+                      const std::string& path) {
+  op->san_tmp = path + ".tmp";
+  op->san_final = path;
+  // The encoded image moves into the SAN object; only its size stays in
+  // the op, which is all the torn-write check below needs.
+  Status wst = node_.san().write(op->san_tmp, std::move(op->encoded_image));
+  if (!wst) {
+    op->san_tmp.clear();
+    ckpt_abort(op, "image write failed: " + wst.message(), /*transient=*/true);
+    return false;
+  }
+  // Staged-size verification catches short/torn writes pre-commit.
+  auto staged = node_.san().size_of(op->san_tmp);
+  if (!staged || staged.value() != op->image_size) {
+    (void)node_.san().remove(op->san_tmp);
+    op->san_tmp.clear();
+    ckpt_abort(op, "image verification failed (torn write)",
+               /*transient=*/true);
+    return false;
+  }
+  return true;
+}
+
+bool Agent::san_commit(const std::shared_ptr<CkptOp>& op) {
+  Status cst = node_.san().rename(op->san_tmp, op->san_final);
+  if (!cst) {
+    ckpt_abort(op, "image commit failed: " + cst.message(),
+               /*transient=*/true);
+    return false;
+  }
+  op->san_tmp.clear();
+  obs::metrics().counter("ckpt.commit.committed").inc();
+  // Only a committed image advances the incremental chain — an aborted
+  // delta must not become the next base.
+  if (op->cmd.mode != CkptMode::SNAPSHOT) return true;
+  IncrState& ist = incr_[op->cmd.pod_name];
+  if (op->is_delta) {
+    ist.chain_len += 1;
+    ist.delta_seq = op->image.header.delta_seq;
+  } else {
+    ist.chain_uris.clear();
+    ist.chain_len = 0;
+    ist.delta_seq = 0;
+  }
+  ist.chain_uris.insert(op->san_final);
+  ist.last_uri = op->cmd.dest_uri;
+  ist.base = ckpt::DeltaBaseline::from_images(op->image.processes);
+  ist.valid = true;
+  return true;
+}
+
+void Agent::san_gc(const std::shared_ptr<CkptOp>& op) {
+  if (op->san_tmp.empty()) return;
+  if (node_.san().remove(op->san_tmp).is_ok()) {
+    obs::metrics().counter("ckpt.commit.gc_tmp").inc();
+  }
+  op->san_tmp.clear();
+}
+
 void Agent::deliver_image(const std::shared_ptr<CkptOp>& op) {
   if (fault_crashed("ckpt.deliver")) return;
   auto uri = parse_uri(op->cmd.dest_uri);
   if (!uri) return ckpt_abort(op, uri.status().to_string());
 
   if (uri.value().scheme == "san") {
-    // Two-phase commit: stage the image at `<path>.tmp` now; it only
-    // replaces the previous image via rename in ckpt_maybe_finish, after
-    // the continue barrier.  Until then an abort or crash leaves the
-    // last committed image untouched (at worst a .tmp for the GC), and
-    // the incremental chain state — updated at commit — stays in sync
-    // with what is actually on the SAN.
-    op->san_tmp = uri.value().path + ".tmp";
-    op->san_final = uri.value().path;
-    // The encoded image moves into the SAN object; only its size stays
-    // in the op, which is all the torn-write check below needs.
-    Status wst = node_.san().write(op->san_tmp, std::move(op->encoded_image));
-    if (!wst) {
-      op->san_tmp.clear();
-      return ckpt_abort(op, "image write failed: " + wst.message(),
-                        /*transient=*/true);
-    }
-    // Staged-size verification catches short/torn writes pre-commit.
-    auto staged = node_.san().size_of(op->san_tmp);
-    if (!staged || staged.value() != op->image_size) {
-      (void)node_.san().remove(op->san_tmp);
-      op->san_tmp.clear();
-      return ckpt_abort(op, "image verification failed (torn write)",
-                        /*transient=*/true);
-    }
+    // Two-phase commit: stage now; the rename happens in
+    // ckpt_maybe_finish, after the continue barrier.
+    san_stage(op, uri.value().path);
     return;
   }
   if (uri.value().scheme == "agent") {
@@ -1146,31 +1107,9 @@ void Agent::ckpt_maybe_finish(const std::shared_ptr<CkptOp>& op) {
   if (fault_crashed("ckpt.barrier")) return;
 
   // Commit point: the staged image atomically replaces the previous one
-  // only now, past the barrier.  Only a committed image advances the
-  // incremental chain — an aborted delta must not become the next base.
+  // only now, past the barrier.
   if (!op->san_tmp.empty()) {
-    Status cst = node_.san().rename(op->san_tmp, op->san_final);
-    if (!cst) {
-      return ckpt_abort(op, "image commit failed: " + cst.message(),
-                        /*transient=*/true);
-    }
-    op->san_tmp.clear();
-    obs::metrics().counter("ckpt.commit.committed").inc();
-    if (op->cmd.mode == CkptMode::SNAPSHOT) {
-      IncrState& ist = incr_[op->cmd.pod_name];
-      if (op->is_delta) {
-        ist.chain_len += 1;
-        ist.delta_seq = op->image.header.delta_seq;
-      } else {
-        ist.chain_uris.clear();
-        ist.chain_len = 0;
-        ist.delta_seq = 0;
-      }
-      ist.chain_uris.insert(op->san_final);
-      ist.last_uri = op->cmd.dest_uri;
-      ist.base = ckpt::DeltaBaseline::from_images(op->image.processes);
-      ist.valid = true;
-    }
+    if (!san_commit(op)) return;
     trace_op("3b: image committed to " + op->san_final, op->cmd.op_id,
              op->span_barrier);
   }
@@ -1259,13 +1198,7 @@ void Agent::ckpt_abort(const std::shared_ptr<CkptOp>& op,
   if (op->drain_pending) return ckpt_drain_fail(op, why, transient);
   op->aborted = true;
   op->finished = true;
-  // GC the staged half of a never-committed two-phase write.
-  if (!op->san_tmp.empty()) {
-    if (node_.san().remove(op->san_tmp).is_ok()) {
-      obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-    }
-    op->san_tmp.clear();
-  }
+  san_gc(op);
   ZLOG_WARN("agent@" << node_.name() << ": checkpoint of "
                      << op->cmd.pod_name << " aborted: " << why);
   // Flight-recorder dump before the spans close: the postmortem's
@@ -1326,7 +1259,7 @@ void Agent::restart_begin(Conn* conn, RestartCmd cmd) {
 
   op->wm.enter("restart");
   if (op->cmd.heartbeat_us > 0) {
-    after(op->cmd.heartbeat_us, [this, op] { restart_beacon(op); });
+    after(op->cmd.heartbeat_us, [this, op] { beacon(op); });
   }
 
   // Apply the virtual→real location updates ("substituting the

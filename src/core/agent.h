@@ -217,6 +217,14 @@ class Agent {
   void ckpt_drain_commit(const std::shared_ptr<CkptOp>& op);
   void ckpt_drain_fail(const std::shared_ptr<CkptOp>& op,
                        const std::string& why, bool transient);
+  /// DRAIN_DONE fields shared by the commit and failure reports.
+  DrainDone drain_report(const CkptOp& op) const;
+  /// Two-phase SAN commit: stage the encoded image at `<path>.tmp` and
+  /// verify its size; rename it into place; GC an uncommitted stage.
+  /// stage/commit abort the op and return false on failure.
+  bool san_stage(const std::shared_ptr<CkptOp>& op, const std::string& path);
+  bool san_commit(const std::shared_ptr<CkptOp>& op);
+  void san_gc(const std::shared_ptr<CkptOp>& op);
   /// `transient` marks failures the Manager may safely retry (storage
   /// hiccup, barrier watchdog) in the CKPT_DONE report.
   void ckpt_abort(const std::shared_ptr<CkptOp>& op, const std::string& why,
@@ -271,8 +279,8 @@ class Agent {
 
   // Introspection plane: periodic HEARTBEAT/PROGRESS beacons while an
   // op runs, stamped into the causal trace under the op's root span.
-  void ckpt_beacon(const std::shared_ptr<CkptOp>& op);
-  void restart_beacon(const std::shared_ptr<RestartOp>& op);
+  template <typename Op>
+  void beacon(const std::shared_ptr<Op>& op);
   void publish_beacon(MsgChannel* mgr, obs::OpId op_id,
                       const std::string& pod, u32 seq, const Watermark& wm,
                       obs::SpanId parent);

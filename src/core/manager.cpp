@@ -1,6 +1,7 @@
 #include "core/manager.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "obs/flight.h"
 #include "obs/json.h"
@@ -40,6 +41,59 @@ void Manager::trace_op(const std::string& what, obs::OpId op,
   }
 }
 
+// ---- The coordinated-op lifecycle -------------------------------------------
+//
+// Checkpoint and restart run the same lifecycle (paper §4): broadcast
+// the command, wait for per-pod reports, end the downtime once every pod
+// has resumed, wait out an optional background leg (COW drain / lazy
+// fill), and on failure abort every agent and retry transient failures
+// with a fresh op id.  What differs per kind is data: the tables below,
+// plus the command, the checkpoint's continue barrier and the reports.
+
+const Manager::PhaseSpec Manager::kPhases[kPhaseCount] = {
+    {"connect", nullptr, &Deadlines::connect_us},
+    {"meta_wait", "mgr.ckpt.meta_wait", &Deadlines::meta_us},
+    {"done_wait", "mgr.ckpt.done_wait", &Deadlines::done_us},
+    {"restart_wait", nullptr, &Deadlines::restart_us},
+    {"drain_wait", "mgr.ckpt.drain_wait", &Deadlines::drain_us},
+    {"lazy_wait", "mgr.restart.lazy_wait", &Deadlines::lazy_us},
+};
+
+const Manager::KindSpec Manager::kKinds[2] = {
+    {.kind = "ckpt", .noun = "checkpoint", .root_span = "mgr.ckpt",
+     .first = META_WAIT, .done = DONE_WAIT, .background = DRAIN_WAIT,
+     .done_closes_health = false,
+     .send_trace = "1: send 'checkpoint' to ",
+     .done_trace = "4: 'done' received from ",
+     .background_start_trace =
+         "4b: all pods resumed (downtime over); drains in flight",
+     .background_trace = "5: 'drain-done' received from ",
+     .bad_done = "bad done report", .bad_background = "bad drain report",
+     .done_failure = "agent reported failure for ",
+     .background_failure = "agent reported drain failure for ",
+     .fail_tag = "ckpt_fail", .ops_metric = "mgr.checkpoints",
+     .failures_metric = "mgr.checkpoint_failures",
+     .retries_metric = "mgr.ckpt.retries",
+     .total_metric = "mgr.ckpt.total_us",
+     .downtime_metric = "mgr.ckpt.downtime_us"},
+    {.kind = "restart", .noun = "restart", .root_span = "mgr.restart",
+     .first = RESTART_WAIT, .done = RESTART_WAIT, .background = LAZY_WAIT,
+     .done_closes_health = true,
+     .send_trace = "1: send 'restart' + meta-data to ",
+     .done_trace = "2: 'done' received from ",
+     .background_start_trace =
+         "3b: all pods resumed (downtime over); lazy fills in flight",
+     .background_trace = "6: 'lazy-done' received from ",
+     .bad_done = "bad restart report", .bad_background = "bad lazy report",
+     .done_failure = "agent reported restart failure for ",
+     .background_failure = "agent reported lazy-restore failure for ",
+     .fail_tag = "restart_fail", .ops_metric = "mgr.restarts",
+     .failures_metric = "mgr.restart_failures",
+     .retries_metric = "mgr.restart.retries",
+     .total_metric = "mgr.restart.total_us",
+     .downtime_metric = "mgr.restart.downtime_us"},
+};
+
 // ---- Op ledger (DESIGN.md §10) ----------------------------------------------
 
 void Manager::ledger_attribute(obs::LedgerEntry& e) {
@@ -54,48 +108,58 @@ void Manager::ledger_attribute(obs::LedgerEntry& e) {
   e.has_attrib = true;
 }
 
-void Manager::ledger_ckpt(const std::string& outcome,
-                          const std::string& error, bool transient,
-                          bool will_retry) {
-  if (ledger_ == nullptr || op_ == nullptr) return;
+void Manager::ledger(const Op& o, const std::string& outcome,
+                     const std::string& error, bool transient,
+                     bool will_retry) {
+  if (ledger_ == nullptr) return;
   obs::LedgerEntry e;
-  e.op = op_->op_id;
-  e.kind = "ckpt";
+  e.op = o.op_id;
+  e.kind = kKinds[o.in.kind].kind;
   e.outcome = outcome;
   e.error = error;
   e.transient = transient;
   e.will_retry = will_retry;
-  e.attempt = op_->attempt;
-  e.start_us = op_->t_start;
+  e.attempt = o.attempt;
+  e.start_us = o.t_start;
   e.end_us = node_.now();
-  // Downtime ends when every pod has resumed; in COW mode the op's
-  // latency keeps running until the background drains commit, so the
-  // two fields diverge (DESIGN.md §11).  On a failure before all pods
-  // resumed, both collapse to the abort instant.
-  e.downtime_us = (op_->t_downtime_end != 0 ? op_->t_downtime_end
-                                            : node_.now()) -
-                  op_->t_start;
-  e.latency_us = node_.now() - op_->t_start;
-  for (const CkptPeer& p : op_->peers) {
+  // Downtime ends when every pod has resumed; a COW drain or a lazy fill
+  // keeps the op's latency running past it, so the two fields diverge
+  // (DESIGN.md §11, §13).  On a failure before all pods resumed, both
+  // collapse to the abort instant.
+  const sim::Time dt_end =
+      o.t_downtime_end != 0 ? o.t_downtime_end : node_.now();
+  e.downtime_us = dt_end - o.t_start;
+  e.latency_us = node_.now() - o.t_start;
+  // Slowest pod per phase: the ledger's no-tracing attribution floor.
+  auto slowest = [&e](const char* name, u64 us) {
+    if (us > 0) e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
+  };
+  for (const Peer& p : o.peers) {
     if (!p.done_received) continue;
     e.pods++;
-    e.image_bytes =
-        std::max({e.image_bytes, p.done.image_bytes, p.drain.image_bytes});
-    e.network_bytes = std::max(e.network_bytes, p.done.network_bytes);
-    e.logical_bytes = std::max(e.logical_bytes, p.done.logical_bytes);
-    // Slowest pod per phase: the ledger's no-tracing attribution floor.
-    auto slowest = [&](const char* name, u64 us) {
-      if (us > 0) {
-        e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
+    if (o.in.kind == RESTART) {
+      slowest("connectivity", p.restart.connectivity_us);
+      slowest("netstate", p.restart.net_restore_us);
+      slowest("standalone", p.restart.standalone_us);
+      slowest("fetch", p.restart.fetch_us);
+      if (p.bg_received) {
+        slowest("lazy", p.lazy.lazy_us);
+        e.lazy_faults += p.lazy.faults;
+        e.lazy_bytes += p.lazy.lazy_bytes;
       }
-    };
-    slowest("suspend", p.done.suspend_us);
-    slowest("netckpt", p.done.netckpt_us);
-    slowest("standalone", p.done.standalone_us);
-    slowest("barrier", p.done.barrier_us);
-    slowest("cowmark", p.done.cowmark_us);
+      continue;
+    }
+    e.image_bytes =
+        std::max({e.image_bytes, p.ckpt.image_bytes, p.drain.image_bytes});
+    e.network_bytes = std::max(e.network_bytes, p.ckpt.network_bytes);
+    e.logical_bytes = std::max(e.logical_bytes, p.ckpt.logical_bytes);
+    slowest("suspend", p.ckpt.suspend_us);
+    slowest("netckpt", p.ckpt.netckpt_us);
+    slowest("standalone", p.ckpt.standalone_us);
+    slowest("barrier", p.ckpt.barrier_us);
+    slowest("cowmark", p.ckpt.cowmark_us);
     slowest("drain", p.drain.drain_us);
-    if (p.drain_received) {
+    if (p.bg_received) {
       // Worst-case QoS picture across pods: most throttled/contended
       // drain time and the lowest bandwidth grant — the inputs
       // zapc-report uses to attribute a slow drain.
@@ -110,66 +174,16 @@ void Manager::ledger_ckpt(const std::string& outcome,
       }
     }
   }
-  obs::Straggler s = health_.straggler(op_->op_id);
+  obs::Straggler s = health_.straggler(o.op_id);
   e.straggler_pod = s.pod;
   e.straggler_phase = s.phase;
   e.straggler_lag_us = s.lag_us;
-  e.trigger = op_->opts.trigger;
-  ledger_attribute(e);
-  obs::metrics().counter("mgr.ledger.appends").inc();
-  if (Status st = ledger_->append(e); !st) {
-    ZLOG_WARN("manager: ledger append failed: " << st.to_string());
-  }
-}
-
-void Manager::ledger_restart(const std::string& outcome,
-                             const std::string& error, bool transient,
-                             bool will_retry) {
-  if (ledger_ == nullptr || rop_ == nullptr) return;
-  obs::LedgerEntry e;
-  e.op = rop_->op_id;
-  e.kind = "restart";
-  e.outcome = outcome;
-  e.error = error;
-  e.transient = transient;
-  e.will_retry = will_retry;
-  e.attempt = rop_->attempt;
-  e.start_us = rop_->t_start;
-  e.end_us = node_.now();
-  // With lazy restore the pods resume at t_downtime_end while cold-region
-  // fills trail behind; downtime stops there, latency runs to the end of
-  // the fill tail (symmetric to the COW drain split in ledger_ckpt).
-  const sim::Time dt_end =
-      rop_->t_downtime_end != 0 ? rop_->t_downtime_end : node_.now();
-  e.downtime_us = dt_end - rop_->t_start;
-  e.latency_us = node_.now() - rop_->t_start;
-  for (const RestartPeer& p : rop_->peers) {
-    if (!p.done_received) continue;
-    e.pods++;
-    auto slowest = [&](const char* name, u64 us) {
-      if (us > 0) {
-        e.phase_us[name] = std::max(e.phase_us[name], obs::Time{us});
-      }
-    };
-    slowest("connectivity", p.done.connectivity_us);
-    slowest("netstate", p.done.net_restore_us);
-    slowest("standalone", p.done.standalone_us);
-    slowest("fetch", p.done.fetch_us);
-    if (p.lazy_received) {
-      slowest("lazy", p.lazy.lazy_us);
-      e.lazy_faults += p.lazy.faults;
-      e.lazy_bytes += p.lazy.lazy_bytes;
-    }
-  }
-  obs::Straggler s = health_.straggler(rop_->op_id);
-  e.straggler_pod = s.pod;
-  e.straggler_phase = s.phase;
-  e.straggler_lag_us = s.lag_us;
-  e.trigger = rop_->opts.trigger;
-  // MTTR only on the attempt that actually restored the application —
-  // and it ends when the pods resume, not when the lazy tail drains.
-  if (rop_->opts.detect_us != 0 && outcome == "ok") {
-    e.mttr_us = dt_end - rop_->opts.detect_us;
+  e.trigger = o.in.kind == CKPT ? o.in.copts.trigger : o.in.ropts.trigger;
+  // MTTR only on the restart attempt that actually restored the
+  // application — and it ends when the pods resume, not when the lazy
+  // tail drains.
+  if (o.in.kind == RESTART && o.in.ropts.detect_us != 0 && outcome == "ok") {
+    e.mttr_us = dt_end - o.in.ropts.detect_us;
   }
   ledger_attribute(e);
   obs::metrics().counter("mgr.ledger.appends").inc();
@@ -231,10 +245,10 @@ void Manager::status_on_msg(MsgChannel* ch, Bytes msg) {
 }
 
 void Manager::abort_current(const std::string& why) {
-  if (op_ != nullptr && !op_->finished) {
-    ckpt_fail(why, /*transient=*/false);
-  } else if (rop_ != nullptr && !rop_->finished) {
-    restart_fail(why, /*transient=*/false);
+  for (OpKind kind : {CKPT, RESTART}) {
+    if (Op* o = ops_[kind].get(); o != nullptr && !o->finished) {
+      return fail(*o, why, /*transient=*/false);
+    }
   }
 }
 
@@ -251,53 +265,131 @@ void Manager::health_drain_warnings(obs::OpId op, obs::SpanId root) {
   }
 }
 
-// ---- Checkpoint -----------------------------------------------------------------
+// ---- Coordinated ops --------------------------------------------------------
 
 void Manager::checkpoint(std::vector<Target> targets, CkptMode mode,
                          CheckpointDoneFn done, CkptOptions opts) {
-  if (op_ != nullptr) {
-    CheckpointReport r;
-    r.error = "manager busy";
-    done(std::move(r));
-    return;
-  }
-  ckpt_begin_attempt(std::move(targets), mode, std::move(opts),
-                     std::move(done), 1);
+  OpInputs in;
+  in.kind = CKPT;
+  in.targets = std::move(targets);
+  in.mode = mode;
+  in.copts = std::move(opts);
+  in.ckpt_fn = std::move(done);
+  if (ops_[CKPT] != nullptr) return report_failure(in, "manager busy", 0, 1);
+  begin_attempt(std::move(in), 1);
 }
 
-void Manager::ckpt_begin_attempt(std::vector<Target> targets, CkptMode mode,
-                                 CkptOptions opts, CheckpointDoneFn done,
-                                 u32 attempt) {
-  op_ = std::make_unique<CkptState>();
-  op_->targets = std::move(targets);
-  op_->opts = std::move(opts);
-  op_->mode = mode;
-  op_->redirect =
-      op_->opts.redirect_send_queues && mode == CkptMode::MIGRATE;
-  op_->attempt = attempt;
-  op_->t_start = node_.now();
-  op_->done_fn = std::move(done);
-  op_->op_id = obs::next_op_id();
+void Manager::restart(std::vector<Target> targets,
+                      std::map<std::string, ckpt::NetMeta> metas,
+                      RestartDoneFn done, RestartOptions opts) {
+  OpInputs in;
+  in.kind = RESTART;
+  in.ropts = std::move(opts);
+  in.restart_fn = std::move(done);
+  if (ops_[RESTART] != nullptr) return report_failure(in, "manager busy", 0, 1);
+  if (metas.empty()) metas = last_metas_;
+
+  // Derive the restart schedule from the meta-data tables.  Failures
+  // here are configuration errors, never retried.
+  std::vector<ckpt::NetMeta> meta_list;
+  for (auto& t : targets) {
+    auto it = metas.find(t.pod_name);
+    if (it == metas.end()) {
+      return report_failure(in, "no meta-data for pod " + t.pod_name, 0, 1);
+    }
+    meta_list.push_back(it->second);
+  }
+  auto plan = build_restart_plan(meta_list);
+  if (!plan) {
+    return report_failure(in, "schedule: " + plan.status().to_string(), 0,
+                          1);
+  }
+  if (last_redirect_) {
+    // The checkpoint shipped each covered connection's send queue to the
+    // agent receiving its peer's stream; mark those entries so the
+    // restore waits for the records.  A record for pod X's connection is
+    // produced only if the sender (the peer) knew X's destination agent,
+    // i.e. X's vip was in the advertised map.
+    for (auto& [vip, meta] : plan.value().pod_meta) {
+      if (last_redirect_covered_.count(vip) == 0) continue;
+      for (auto& e : meta.entries) {
+        if ((e.state == ckpt::ConnState::FULL_DUPLEX ||
+             e.state == ckpt::ConnState::HALF_DUPLEX) &&
+            last_redirect_covered_.count(e.target.ip) > 0) {
+          e.redirect_expected = true;
+        }
+      }
+    }
+  }
+
+  // New placement: each pod's virtual address now resolves to the real
+  // address of the agent restarting it.
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    in.locations.emplace_back(meta_list[i].pod_vip, targets[i].agent.ip);
+    in.peer_metas.push_back(plan.value().pod_meta[meta_list[i].pod_vip]);
+  }
+  in.targets = std::move(targets);
+  begin_attempt(std::move(in), 1);
+}
+
+void Manager::report_failure(OpInputs& in, std::string error, obs::OpId op,
+                             u32 attempts) {
+  auto deliver = [&](auto report, const auto& fn) {
+    report.error = std::move(error);
+    report.op_id = op;
+    report.attempts = attempts;
+    fn(std::move(report));
+  };
+  if (in.kind == CKPT) return deliver(CheckpointReport{}, in.ckpt_fn);
+  deliver(RestartReport{}, in.restart_fn);
+}
+
+void Manager::begin_attempt(OpInputs in, u32 attempt) {
+  const KindSpec& spec = kKinds[in.kind];
+  Op& o = *(ops_[in.kind] = std::make_unique<Op>());
+  o.in = std::move(in);
+  o.attempt = attempt;
+  o.t_start = node_.now();
+  o.op_id = obs::next_op_id();
   obs::metrics().counter("mgr.ops_started").inc();
   if (obs::SpanRecorder* r = rec()) {
-    op_->span_root =
-        r->begin_at(op_->t_start, "mgr.ckpt", "manager", 0, op_->op_id);
-    op_->span_meta_wait = r->begin_at(op_->t_start, "mgr.ckpt.meta_wait",
-                                      "manager", op_->span_root, op_->op_id);
+    o.span_root =
+        r->begin_at(o.t_start, spec.root_span, "manager", 0, o.op_id);
+    if (const char* span = kPhases[spec.first].span) {
+      o.spans[spec.first] =
+          r->begin_at(o.t_start, span, "manager", o.span_root, o.op_id);
+    }
+    // The restart schedule: record each connection's discard/redirect
+    // decision so the offline analyzer can check recv >= acked on the
+    // restored pairs without the images.
+    for (const ckpt::NetMeta& meta : o.in.peer_metas) {
+      for (const auto& e : meta.entries) {
+        if (e.state != ckpt::ConnState::FULL_DUPLEX &&
+            e.state != ckpt::ConnState::HALF_DUPLEX) {
+          continue;
+        }
+        r->event_at(o.t_start, "manager",
+                    "sched.conn vip=" + meta.pod_vip.to_string() + " peer=" +
+                        e.target.ip.to_string() +
+                        " discard=" + std::to_string(e.discard_send) +
+                        (e.redirect_expected ? " redirect" : ""),
+                    o.span_root, o.op_id);
+      }
+    }
   }
-  if (op_->opts.heartbeat_us > 0) {
+  if (o.in.heartbeat_us() > 0) {
     // Stale = three missed beacons; a slow node's dilated cadence still
     // fits (it reports, just late), a dead one does not.
     health_.set_policy(obs::ClusterHealth::Policy{
-        op_->opts.warn_lag_us, 3 * op_->opts.heartbeat_us});
+        o.in.warn_lag_us(), 3 * o.in.heartbeat_us()});
     std::vector<std::string> pods;
-    for (const Target& t : op_->targets) pods.push_back(t.pod_name);
-    health_.op_begin(op_->op_id, "ckpt", op_->t_start, pods);
+    for (const Target& t : o.in.targets) pods.push_back(t.pod_name);
+    health_.op_begin(o.op_id, spec.kind, o.t_start, pods);
   }
-  ckpt_start();
+  start(o);
 }
 
-void Manager::ckpt_start() {
+Manager::PeerAgents Manager::redirect_map(const Op& o) {
   // For the redirect optimization, every agent needs to know which agent
   // receives each peer pod's checkpoint stream: (vip -> endpoint) pairs
   // derived from targets with agent:// URIs.  The vip comes from the
@@ -305,169 +397,150 @@ void Manager::ckpt_start() {
   // meta-data.  Pods whose vip cannot be determined are simply not
   // covered — their connections fall back to the normal send-queue
   // resend.
-  std::vector<std::pair<net::IpAddr, net::SockAddr>> peer_agents;
+  PeerAgents peer_agents;
   last_redirect_covered_.clear();
-  if (op_->redirect) {
-    for (const Target& t : op_->targets) {
-      net::IpAddr vip = t.vip;
-      if (vip.is_any()) {
-        auto it = last_metas_.find(t.pod_name);
-        if (it != last_metas_.end()) vip = it->second.pod_vip;
-      }
-      if (vip.is_any()) continue;
-      if (t.uri.rfind("agent://", 0) != 0) continue;
-      std::string rest = t.uri.substr(8);
-      auto slash = rest.find('/');
-      auto colon = rest.find(':');
-      if (slash == std::string::npos || colon == std::string::npos ||
-          colon > slash) {
-        continue;
-      }
-      auto ip = net::IpAddr::parse(rest.substr(0, colon));
-      if (!ip) continue;
-      net::SockAddr ep{ip.value(),
-                       static_cast<u16>(std::stoul(
-                           rest.substr(colon + 1, slash - colon - 1)))};
-      peer_agents.emplace_back(vip, ep);
-      last_redirect_covered_.insert(vip);
+  if (!o.in.copts.redirect_send_queues || o.in.mode != CkptMode::MIGRATE) {
+    return peer_agents;
+  }
+  for (const Target& t : o.in.targets) {
+    net::IpAddr vip = t.vip;
+    if (vip.is_any()) {
+      auto it = last_metas_.find(t.pod_name);
+      if (it != last_metas_.end()) vip = it->second.pod_vip;
     }
+    if (vip.is_any()) continue;
+    auto uri = parse_uri(t.uri);
+    if (!uri || uri.value().scheme != "agent") continue;
+    peer_agents.emplace_back(vip, uri.value().endpoint);
+    last_redirect_covered_.insert(vip);
   }
-
-  trace_op("1: send 'checkpoint' to " +
-               std::to_string(op_->targets.size()) + " agents",
-           op_->op_id, op_->span_root);
-  op_->peers.reserve(op_->targets.size());
-  for (const Target& t : op_->targets) {
-    CkptPeer peer;
-    peer.target = t;
-    peer.ch = connect_channel(node_.host_stack(), t.agent);
-    op_->peers.push_back(std::move(peer));
-  }
-  for (std::size_t i = 0; i < op_->peers.size(); ++i) {
-    CkptPeer& peer = op_->peers[i];
-    if (peer.ch == nullptr) {
-      ckpt_fail("cannot connect to agent " + peer.target.agent.to_string(),
-                /*transient=*/true);
-      return;
-    }
-    peer.ch->set_on_msg(
-        [this, i, alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
-          if (auto a = alive.lock(); a && *a) ckpt_on_msg(i, std::move(msg));
-        });
-    peer.ch->set_on_closed([this, i, alive = std::weak_ptr<bool>(alive_)] {
-      if (auto a = alive.lock(); a && *a) ckpt_on_closed(i);
-    });
-
-    CheckpointCmd cmd;
-    cmd.op_id = op_->op_id;
-    cmd.parent_span = op_->span_root;
-    cmd.pod_name = peer.target.pod_name;
-    cmd.dest_uri = peer.target.uri;
-    cmd.mode = op_->mode;
-    cmd.redirect_send_queues = op_->opts.redirect_send_queues;
-    cmd.fs_snapshot = op_->opts.fs_snapshot;
-    cmd.peer_agents = peer_agents;
-    cmd.incremental = op_->opts.incremental;
-    cmd.chain_cap = op_->opts.chain_cap;
-    cmd.codec_flags = op_->opts.codec_flags;
-    cmd.pipelined = op_->opts.pipelined_stream;
-    cmd.barrier_wait_us = op_->opts.deadlines.agent_barrier_us;
-    cmd.heartbeat_us = op_->opts.heartbeat_us;
-    cmd.cow = op_->opts.cow;
-    cmd.drain_wait_us = op_->opts.deadlines.drain_us;
-    (void)peer.ch->send(encode_checkpoint_cmd(cmd));
-  }
-
-  // Arm the phase watchdogs.  Both run from invocation; the connect
-  // deadline only looks at channel establishment, the meta deadline at
-  // META_REPORT arrival.  An expiry with nothing actually stalled (the
-  // phase completed but the cancel raced the event) is a no-op.
-  const Deadlines& dl = op_->opts.deadlines;
-  if (dl.connect_us > 0) {
-    op_->connect_deadline = node_.engine().schedule(
-        dl.connect_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->connect_deadline = 0;
-          ckpt_deadline_expired("connect");
-        });
-  }
-  if (dl.meta_us > 0) {
-    op_->phase_deadline = node_.engine().schedule(
-        dl.meta_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->phase_deadline = 0;
-          ckpt_deadline_expired("meta_wait");
-        });
-  }
+  return peer_agents;
 }
 
-void Manager::ckpt_on_msg(std::size_t idx, Bytes msg) {
-  if (op_ == nullptr || op_->finished) return;
-  CkptPeer& peer = op_->peers[idx];
+Bytes Manager::command(const Op& o, std::size_t i,
+                       const PeerAgents& peer_agents) {
+  const Target& t = o.peers[i].target;
+  if (o.in.kind == RESTART) {
+    const RestartOptions& opts = o.in.ropts;
+    return encode_restart_cmd(RestartCmd{
+        .op_id = o.op_id, .parent_span = o.span_root, .pod_name = t.pod_name,
+        .source_uri = t.uri, .meta = o.in.peer_metas[i],
+        .locations = o.in.locations,
+        .stream_wait_us = opts.deadlines.agent_stream_us,
+        .heartbeat_us = opts.heartbeat_us,
+        .replace_existing = opts.replace_existing,
+        .pipelined = opts.pipelined, .lazy = opts.lazy,
+        .lazy_hot_permille = opts.lazy_hot_permille,
+        .lazy_wait_us = opts.deadlines.lazy_us});
+  }
+  const CkptOptions& opts = o.in.copts;
+  return encode_checkpoint_cmd(CheckpointCmd{
+      .op_id = o.op_id, .parent_span = o.span_root, .pod_name = t.pod_name,
+      .dest_uri = t.uri, .mode = o.in.mode,
+      .redirect_send_queues = opts.redirect_send_queues,
+      .fs_snapshot = opts.fs_snapshot, .peer_agents = peer_agents,
+      .incremental = opts.incremental, .chain_cap = opts.chain_cap,
+      .codec_flags = opts.codec_flags, .pipelined = opts.pipelined_stream,
+      .barrier_wait_us = opts.deadlines.agent_barrier_us,
+      .heartbeat_us = opts.heartbeat_us, .cow = opts.cow,
+      .drain_wait_us = opts.deadlines.drain_us});
+}
+
+void Manager::start(Op& o) {
+  const KindSpec& spec = kKinds[o.in.kind];
+  const PeerAgents peer_agents =
+      o.in.kind == CKPT ? redirect_map(o) : PeerAgents{};
+  trace_op(spec.send_trace + std::to_string(o.in.targets.size()) + " agents",
+           o.op_id, o.span_root);
+  o.peers.reserve(o.in.targets.size());
+  for (const Target& t : o.in.targets) {
+    Peer peer;
+    peer.target = t;
+    peer.ch = connect_channel(node_.host_stack(), t.agent);
+    o.peers.push_back(std::move(peer));
+  }
+  for (std::size_t i = 0; i < o.peers.size(); ++i) {
+    Peer& peer = o.peers[i];
+    if (peer.ch == nullptr) {
+      return fail(o, "cannot connect to agent " + peer.target.agent.to_string(),
+                  /*transient=*/true);
+    }
+    peer.ch->set_on_msg([this, kind = o.in.kind, i,
+                         alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
+      if (auto a = alive.lock(); a && *a) on_msg(kind, i, std::move(msg));
+    });
+    peer.ch->set_on_closed(
+        [this, kind = o.in.kind, i, alive = std::weak_ptr<bool>(alive_)] {
+          if (auto a = alive.lock(); a && *a) on_closed(kind, i);
+        });
+    (void)peer.ch->send(command(o, i, peer_agents));
+  }
+  // Both watchdogs run from invocation: the connect deadline looks only
+  // at channel establishment, the first phase's at its reports.
+  arm_deadline(o, CONNECT);
+  arm_deadline(o, spec.first);
+}
+
+void Manager::arm_deadline(Op& o, Phase phase) {
+  // An expiry with nothing actually stalled (the phase completed but the
+  // cancel raced the event) is a no-op.
+  const sim::Time limit = o.in.deadlines().*kPhases[phase].limit;
+  if (limit == 0) return;
+  o.deadline(phase) = node_.engine().schedule(
+      limit, [this, alive = std::weak_ptr<bool>(alive_), kind = o.in.kind,
+              id = o.op_id, phase] {
+        if (auto a = alive.lock(); !a || !*a) return;
+        Op* op = ops_[kind].get();
+        if (op == nullptr || op->op_id != id) return;
+        op->deadline(phase) = 0;
+        deadline_expired(*op, phase);
+      });
+}
+
+void Manager::on_msg(OpKind kind, std::size_t idx, Bytes msg) {
+  Op* o = ops_[kind].get();
+  if (o == nullptr || o->finished) return;
+  Peer& peer = o->peers[idx];
   auto type = peek_type(msg);
   if (!type) return;
 
   switch (type.value()) {
     case MsgType::META_REPORT: {
+      if (kind != CKPT) break;
       auto m = decode_meta_report(msg);
-      if (!m) return ckpt_fail("bad meta report", /*transient=*/false);
+      if (!m) return fail(*o, "bad meta report", /*transient=*/false);
       peer.meta_received = true;
-      op_->report.metas[m.value().pod_name] = m.value().meta;
-      op_->report.max_net_ckpt_us =
-          std::max(op_->report.max_net_ckpt_us, m.value().net_ckpt_us);
+      o->report.metas[m.value().pod_name] = m.value().meta;
+      o->report.max_net_ckpt_us =
+          std::max(o->report.max_net_ckpt_us, m.value().net_ckpt_us);
       trace_op("2: meta-data received from " + peer.target.pod_name,
-               op_->op_id, op_->span_meta_wait);
-      ckpt_maybe_continue();
+               o->op_id, o->spans[META_WAIT]);
+      maybe_continue(*o);
       break;
     }
-    case MsgType::CKPT_DONE: {
-      auto m = decode_ckpt_done(msg);
-      if (!m) return ckpt_fail("bad done report", /*transient=*/false);
-      peer.done_received = true;
-      peer.done = m.value();
-      // COW mode: the pod is resumed but its drain is still running, so
-      // keep its health entry live (drain progress beacons still flow)
-      // until the DRAIN_DONE epilogue.
-      if (!m.value().drain_pending) {
-        health_.pod_done(op_->op_id, m.value().pod_name, node_.now());
-      }
-      if (!m.value().ok) {
-        return ckpt_fail("agent reported failure for " +
-                             m.value().pod_name + ": " + m.value().error,
-                         m.value().transient);
-      }
-      trace_op("4: 'done' received from " + peer.target.pod_name,
-               op_->op_id, op_->span_done_wait);
-      ckpt_maybe_finish();
+    case MsgType::CKPT_DONE:
+      if (kind == CKPT) on_report(*o, peer, decode_ckpt_done(msg), peer.ckpt);
       break;
-    }
-    case MsgType::DRAIN_DONE: {
-      auto m = decode_drain_done(msg);
-      if (!m) return ckpt_fail("bad drain report", /*transient=*/false);
-      peer.drain_received = true;
-      peer.drain = m.value();
-      health_.pod_done(op_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return ckpt_fail("agent reported drain failure for " +
-                             m.value().pod_name + ": " + m.value().error,
-                         m.value().transient);
-      }
-      trace_op("5: 'drain-done' received from " + peer.target.pod_name,
-               op_->op_id, op_->span_drain_wait);
-      ckpt_maybe_finish();
+    case MsgType::DRAIN_DONE:
+      if (kind == CKPT) on_report(*o, peer, decode_drain_done(msg), peer.drain);
       break;
-    }
+    case MsgType::RESTART_DONE:
+      if (kind == RESTART) {
+        on_report(*o, peer, decode_restart_done(msg), peer.restart);
+      }
+      break;
+    case MsgType::LAZY_DONE:
+      if (kind == RESTART) {
+        on_report(*o, peer, decode_lazy_done(msg), peer.lazy);
+      }
+      break;
     case MsgType::HEARTBEAT: {
       auto m = decode_heartbeat(msg);
       if (!m) break;
       obs::metrics().counter("mgr.hb.received").inc();
-      health_.heartbeat(op_->op_id, m.value().pod_name, m.value().phase,
+      health_.heartbeat(o->op_id, m.value().pod_name, m.value().phase,
                         node_.now());
-      health_drain_warnings(op_->op_id, op_->span_root);
+      health_drain_warnings(o->op_id, o->span_root);
       break;
     }
     case MsgType::PROGRESS: {
@@ -475,10 +548,10 @@ void Manager::ckpt_on_msg(std::size_t idx, Bytes msg) {
       if (!m) break;
       obs::metrics().counter("mgr.progress.received").inc();
       const ProgressMsg& p = m.value();
-      health_.progress(op_->op_id, p.pod_name, p.phase, node_.now(),
+      health_.progress(o->op_id, p.pod_name, p.phase, node_.now(),
                        p.bytes_done, p.bytes_expected, p.throughput_bps,
                        p.eta_us);
-      health_drain_warnings(op_->op_id, op_->span_root);
+      health_drain_warnings(o->op_id, o->span_root);
       break;
     }
     default:
@@ -486,168 +559,207 @@ void Manager::ckpt_on_msg(std::size_t idx, Bytes msg) {
   }
 }
 
-void Manager::ckpt_on_closed(std::size_t idx) {
-  if (op_ == nullptr || op_->finished) return;
-  ckpt_fail("lost connection to agent of pod " +
-                op_->peers[idx].target.pod_name,
-            /*transient=*/true);
+template <class Report>
+void Manager::on_report(Op& o, Peer& peer, Result<Report> m, Report& slot) {
+  constexpr bool background =
+      std::is_same_v<Report, DrainDone> || std::is_same_v<Report, LazyDone>;
+  const KindSpec& spec = kKinds[o.in.kind];
+  if (!m) {
+    return fail(o, background ? spec.bad_background : spec.bad_done,
+                /*transient=*/false);
+  }
+  slot = std::move(m).value();
+  if constexpr (background) {
+    peer.bg_received = true;
+  } else {
+    peer.done_received = true;
+    peer.bg_pending = o.in.kind == CKPT ? peer.ckpt.drain_pending
+                                        : peer.restart.lazy_pending;
+  }
+  if (background || spec.done_closes_health || !peer.bg_pending) {
+    health_.pod_done(o.op_id, slot.pod_name, node_.now());
+  }
+  if (!slot.ok) {
+    return fail(o,
+                (background ? spec.background_failure : spec.done_failure) +
+                    slot.pod_name + ": " + slot.error,
+                slot.transient);
+  }
+  // A done report traces under its phase's wait span, or under the root
+  // when the phase has none.
+  const obs::SpanId parent =
+      background ? o.spans[spec.background]
+      : kPhases[spec.done].span != nullptr ? o.spans[spec.done]
+                                              : o.span_root;
+  trace_op((background ? spec.background_trace : spec.done_trace) +
+               peer.target.pod_name,
+           o.op_id, parent);
+  maybe_finish(o);
 }
 
-void Manager::ckpt_maybe_continue() {
-  if (op_->continued) return;
-  for (const CkptPeer& p : op_->peers) {
+void Manager::on_closed(OpKind kind, std::size_t idx) {
+  Op* o = ops_[kind].get();
+  if (o == nullptr || o->finished) return;
+  fail(*o, "lost connection to agent of pod " + o->peers[idx].target.pod_name,
+       /*transient=*/true);
+}
+
+void Manager::maybe_continue(Op& o) {
+  if (o.continued) return;
+  for (const Peer& p : o.peers) {
     if (!p.meta_received) return;
   }
   // The single synchronization point (paper §4, Figure 2 "sync").
-  op_->continued = true;
-  op_->t_sync = node_.now();
-  ckpt_cancel_deadlines();  // connect + meta phases are over
+  o.continued = true;
+  o.t_sync = node_.now();
+  cancel_deadlines(o);  // connect + meta phases are over
   ContinueMsg cont;
-  cont.op_id = op_->op_id;
+  cont.op_id = o.op_id;
   if (obs::SpanRecorder* r = rec()) {
-    r->end_at(op_->t_sync, op_->span_meta_wait);
-    op_->span_done_wait = r->begin_at(op_->t_sync, "mgr.ckpt.done_wait",
-                                      "manager", op_->span_root, op_->op_id);
+    r->end_at(o.t_sync, o.spans[META_WAIT]);
+    o.spans[DONE_WAIT] =
+        r->begin_at(o.t_sync, kPhases[DONE_WAIT].span, "manager",
+                    o.span_root, o.op_id);
     // The barrier decision itself: agents parent their resume under it,
     // so the causal tree shows continue → unblock → first retransmit.
-    cont.continue_event = r->event_at(op_->t_sync, "manager", "mgr.continue",
-                                      op_->span_root, op_->op_id);
+    cont.continue_event = r->event_at(o.t_sync, "manager", "mgr.continue",
+                                      o.span_root, o.op_id);
   }
   trace_op("3: all meta-data in; send 'continue' to agents (sync point)",
-           op_->op_id, op_->span_root);
-  for (CkptPeer& p : op_->peers) {
+           o.op_id, o.span_root);
+  for (Peer& p : o.peers) {
     (void)p.ch->send(encode_continue(cont));
   }
-  if (op_->opts.deadlines.done_us > 0) {
-    op_->phase_deadline = node_.engine().schedule(
-        op_->opts.deadlines.done_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ == nullptr || op_->op_id != id) return;
-          op_->phase_deadline = 0;
-          ckpt_deadline_expired("done_wait");
-        });
-  }
+  arm_deadline(o, DONE_WAIT);
 }
 
-void Manager::ckpt_maybe_finish() {
-  for (const CkptPeer& p : op_->peers) {
+void Manager::maybe_finish(Op& o) {
+  const KindSpec& spec = kKinds[o.in.kind];
+  for (const Peer& p : o.peers) {
     if (!p.done_received) return;
   }
+  auto background_pending = [&o] {
+    return std::ranges::any_of(
+        o.peers, [](const Peer& p) { return p.bg_pending && !p.bg_received; });
+  };
   // Every pod has reported done — they are all resumed, so the
-  // application's downtime ends HERE, even if COW drains are still in
-  // flight (DESIGN.md §11).  Record the instant exactly once; later
-  // DRAIN_DONE arrivals re-enter this function with it already set.
-  if (op_->t_downtime_end == 0) {
-    op_->t_downtime_end = node_.now();
-    ckpt_cancel_deadlines();  // done phase is over
+  // application's downtime ends HERE, even if background legs are still
+  // in flight (DESIGN.md §11, §13).  Record the instant exactly once;
+  // later background reports re-enter this function with it already set.
+  if (o.t_downtime_end == 0) {
+    o.t_downtime_end = node_.now();
+    cancel_deadlines(o);  // the done phase is over
     if (obs::SpanRecorder* r = rec()) {
-      r->end_at(node_.now(), op_->span_done_wait);
+      r->end_at(node_.now(), o.spans[spec.done]);
     }
-    bool draining = false;
-    for (const CkptPeer& p : op_->peers) {
-      if (p.done.drain_pending && !p.drain_received) draining = true;
-    }
-    if (draining) {
-      trace_op("4b: all pods resumed (downtime over); drains in flight",
-               op_->op_id, op_->span_root);
+    if (background_pending()) {
+      trace_op(spec.background_start_trace, o.op_id, o.span_root);
       if (obs::SpanRecorder* r = rec()) {
-        op_->span_drain_wait =
-            r->begin_at(node_.now(), "mgr.ckpt.drain_wait", "manager",
-                        op_->span_root, op_->op_id);
+        o.spans[spec.background] =
+            r->begin_at(node_.now(), kPhases[spec.background].span,
+                        "manager", o.span_root, o.op_id);
       }
-      if (op_->opts.deadlines.drain_us > 0) {
-        op_->phase_deadline = node_.engine().schedule(
-            op_->opts.deadlines.drain_us,
-            [this, alive = std::weak_ptr<bool>(alive_), id = op_->op_id] {
-              if (auto a = alive.lock(); !a || !*a) return;
-              if (op_ == nullptr || op_->op_id != id) return;
-              op_->phase_deadline = 0;
-              ckpt_deadline_expired("drain_wait");
-            });
-      }
+      arm_deadline(o, spec.background);
     }
   }
-  for (const CkptPeer& p : op_->peers) {
-    if (p.done.drain_pending && !p.drain_received) return;
+  if (background_pending()) return;
+  o.finished = true;
+  cancel_deadlines(o);
+  health_.op_end(o.op_id, node_.now(), /*ok=*/true);
+  const sim::Time total_us = node_.now() - o.t_start;
+  const sim::Time downtime_us = o.t_downtime_end - o.t_start;
+  if (obs::SpanRecorder* r = rec()) {
+    r->end_at(node_.now(), o.spans[spec.background]);
+    r->end_at(node_.now(), o.span_root);
   }
-  op_->finished = true;
-  ckpt_cancel_deadlines();
-  health_.op_end(op_->op_id, node_.now(), /*ok=*/true);
-  CheckpointReport report = std::move(op_->report);
+  obs::metrics().counter(spec.ops_metric).inc();
+  obs::metrics().histogram(spec.total_metric).observe(total_us);
+  obs::metrics().histogram(spec.downtime_metric).observe(downtime_us);
+  trace_op(std::string(spec.noun) + " complete in " +
+               std::to_string(total_us) + "us (downtime " +
+               std::to_string(downtime_us) + "us)",
+           o.op_id, o.span_root);
+  ledger(o, "ok", "", /*transient=*/false, /*will_retry=*/false);
+  if (o.in.kind == RESTART) {
+    RestartReport report;
+    report.ok = true;
+    report.op_id = o.op_id;
+    report.attempts = o.attempt;
+    report.total_us = total_us;
+    report.downtime_us = downtime_us;
+    for (const Peer& p : o.peers) {
+      report.agents.push_back(p.restart);
+      report.max_connectivity_us =
+          std::max(report.max_connectivity_us, p.restart.connectivity_us);
+      report.max_net_restore_us =
+          std::max(report.max_net_restore_us, p.restart.net_restore_us);
+      if (p.bg_received) {
+        report.max_lazy_us = std::max(report.max_lazy_us, p.lazy.lazy_us);
+        report.lazy_faults += p.lazy.faults;
+        report.lazy_bytes += p.lazy.lazy_bytes;
+      }
+    }
+    RestartDoneFn fn = std::move(o.in.restart_fn);
+    ops_[RESTART].reset();
+    return fn(std::move(report));
+  }
+  CheckpointReport report = std::move(o.report);
   report.ok = true;
-  report.op_id = op_->op_id;
-  report.attempts = op_->attempt;
-  report.total_us = node_.now() - op_->t_start;
-  report.downtime_us = op_->t_downtime_end - op_->t_start;
-  report.sync_us = op_->t_sync - op_->t_start;
-  for (const CkptPeer& p : op_->peers) {
-    report.agents.push_back(p.done);
+  report.op_id = o.op_id;
+  report.attempts = o.attempt;
+  report.total_us = total_us;
+  report.downtime_us = downtime_us;
+  report.sync_us = o.t_sync - o.t_start;
+  for (const Peer& p : o.peers) {
+    report.agents.push_back(p.ckpt);
     report.max_image_bytes = std::max(
-        {report.max_image_bytes, p.done.image_bytes, p.drain.image_bytes});
+        {report.max_image_bytes, p.ckpt.image_bytes, p.drain.image_bytes});
     report.max_network_bytes =
-        std::max(report.max_network_bytes, p.done.network_bytes);
+        std::max(report.max_network_bytes, p.ckpt.network_bytes);
     report.max_drain_us = std::max(report.max_drain_us, p.drain.drain_us);
     report.max_dirtied_bytes =
         std::max(report.max_dirtied_bytes, p.drain.dirtied_bytes);
   }
-  last_metas_ = report.metas;
-  last_redirect_ = op_->redirect;
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op_->span_drain_wait);
-    r->end_at(node_.now(), op_->span_root);
-  }
-  obs::metrics().counter("mgr.checkpoints").inc();
-  obs::metrics().histogram("mgr.ckpt.total_us").observe(report.total_us);
-  obs::metrics().histogram("mgr.ckpt.downtime_us").observe(report.downtime_us);
   obs::metrics().histogram("mgr.ckpt.sync_wait_us").observe(report.sync_us);
-  trace_op("checkpoint complete in " + std::to_string(report.total_us) +
-               "us (downtime " + std::to_string(report.downtime_us) + "us)",
-           op_->op_id, op_->span_root);
-  ledger_ckpt("ok", "", /*transient=*/false, /*will_retry=*/false);
-  CheckpointDoneFn fn = std::move(op_->done_fn);
-  bool cataloged = op_->mode == CkptMode::SNAPSHOT && commit_fn_ != nullptr;
-  std::vector<Target> targets = std::move(op_->targets);
-  op_.reset();
+  last_metas_ = report.metas;
+  last_redirect_ =
+      o.in.copts.redirect_send_queues && o.in.mode == CkptMode::MIGRATE;
+  CheckpointDoneFn fn = std::move(o.in.ckpt_fn);
+  const bool cataloged =
+      o.in.mode == CkptMode::SNAPSHOT && commit_fn_ != nullptr;
+  std::vector<Target> targets = std::move(o.in.targets);
+  ops_[CKPT].reset();
   // Commit hook after the op state is torn down: the supervisor may
   // react by scheduling the next op immediately.
   if (cataloged) commit_fn_(report, targets);
   fn(std::move(report));
 }
 
-void Manager::ckpt_cancel_deadlines() {
-  if (op_ == nullptr) return;
-  if (op_->connect_deadline != 0) {
-    (void)node_.engine().cancel(op_->connect_deadline);
-    op_->connect_deadline = 0;
-  }
-  if (op_->phase_deadline != 0) {
-    (void)node_.engine().cancel(op_->phase_deadline);
-    op_->phase_deadline = 0;
+void Manager::cancel_deadlines(Op& o) {
+  for (sim::EventId* id : {&o.connect_deadline, &o.phase_deadline}) {
+    if (*id != 0) {
+      (void)node_.engine().cancel(*id);
+      *id = 0;
+    }
   }
 }
 
-void Manager::ckpt_deadline_expired(const std::string& phase) {
-  if (op_ == nullptr || op_->finished) return;
+void Manager::deadline_expired(Op& o, Phase phase) {
+  if (o.finished) return;
   std::string stalled;
-  for (const CkptPeer& p : op_->peers) {
-    bool waiting;
-    if (phase == "connect") {
-      waiting = p.ch == nullptr || !p.ch->established();
-    } else if (phase == "meta_wait") {
-      waiting = !p.meta_received;
-    } else if (phase == "drain_wait") {
-      waiting = p.done_received && p.done.drain_pending && !p.drain_received;
-    } else {
-      waiting = !p.done_received;
-    }
+  for (const Peer& p : o.peers) {
+    const bool waiting =
+        phase == CONNECT     ? p.ch == nullptr || !p.ch->established()
+        : phase == META_WAIT ? !p.meta_received
+        : phase == DRAIN_WAIT || phase == LAZY_WAIT
+            ? p.done_received && p.bg_pending && !p.bg_received
+            : !p.done_received;
     if (!waiting) continue;
     if (!stalled.empty()) stalled += ",";
     stalled += p.target.pod_name + "@" + p.target.agent.to_string();
     // With the introspection plane on, say where the stalled pod last
     // was — a deadline with an attributed phase beats a blind timeout.
-    if (const obs::PodHealth* ph =
-            health_.pod(op_->op_id, p.target.pod_name);
+    if (const obs::PodHealth* ph = health_.pod(o.op_id, p.target.pod_name);
         ph != nullptr && ph->beacons > 0) {
       stalled += "(phase=" + ph->phase + " hb_age=" +
                  obs::vtime_us(node_.now() - ph->last_seen_us) + ")";
@@ -655,92 +767,85 @@ void Manager::ckpt_deadline_expired(const std::string& phase) {
   }
   if (stalled.empty()) return;
   obs::metrics().counter("mgr.phase.deadline_expired").inc();
-  ckpt_fail("phase deadline expired: phase=" + phase + " stalled=" + stalled,
-            /*transient=*/true);
+  fail(o,
+       std::string("phase deadline expired: phase=") +
+           kPhases[phase].name + " stalled=" + stalled,
+       /*transient=*/true);
 }
 
-void Manager::ckpt_gc_tmp() {
+void Manager::fail(Op& o, std::string why, bool transient) {
+  if (o.finished) return;
+  const KindSpec& spec = kKinds[o.in.kind];
+  o.finished = true;
+  cancel_deadlines(o);
+  health_.op_end(o.op_id, node_.now(), /*ok=*/false);
+  ZLOG_WARN("manager: " << spec.noun << " failed: " << why);
+  obs::dump_op_failure(rec(), spec.fail_tag, o.op_id, "manager", why,
+                       node_.now());
+  if (obs::SpanRecorder* r = rec()) {
+    for (obs::SpanId span : o.spans) r->end_at(node_.now(), span);
+    r->end_at(node_.now(), o.span_root);
+  }
+  obs::metrics().counter(spec.failures_metric).inc();
+  trace_op(std::string(spec.noun) + " ABORTED: " + why, o.op_id, o.span_root);
+  // Agents resume a checkpointed pod in place, and tear down a pod they
+  // already (or partially) restored, so a failed coordinated restart
+  // never leaves half the application running.
+  for (Peer& p : o.peers) {
+    if (p.ch != nullptr && p.ch->open()) {
+      (void)p.ch->send(encode_abort(AbortMsg{o.op_id, why}));
+    }
+  }
   // The commit protocol stages every SAN image at `<path>.tmp` and only
-  // renames it into place after the continue barrier, so after an abort
-  // the temp — if the agent got that far — is the only debris.
-  for (const CkptPeer& p : op_->peers) {
-    if (p.target.uri.rfind("san://", 0) != 0) continue;
+  // renames it into place after the continue barrier, so after an
+  // aborted checkpoint the temp — if the agent got that far — is the only
+  // debris.
+  for (const Peer& p : o.peers) {
+    if (o.in.kind != CKPT || p.target.uri.rfind("san://", 0) != 0) continue;
     std::string tmp = p.target.uri.substr(6) + ".tmp";
     if (node_.san().remove(tmp).is_ok()) {
       obs::metrics().counter("ckpt.commit.gc_tmp").inc();
-      trace_op("gc half-written image " + tmp, op_->op_id, op_->span_root);
+      trace_op("gc half-written image " + tmp, o.op_id, o.span_root);
     }
   }
-}
 
-void Manager::ckpt_fail(const std::string& why, bool transient) {
-  if (op_ == nullptr || op_->finished) return;
-  op_->finished = true;
-  ckpt_cancel_deadlines();
-  health_.op_end(op_->op_id, node_.now(), /*ok=*/false);
-  ZLOG_WARN("manager: checkpoint failed: " << why);
-  obs::dump_op_failure(rec(), "ckpt_fail", op_->op_id, "manager", why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), op_->span_meta_wait);
-    r->end_at(node_.now(), op_->span_done_wait);
-    r->end_at(node_.now(), op_->span_drain_wait);
-    r->end_at(node_.now(), op_->span_root);
-  }
-  obs::metrics().counter("mgr.checkpoint_failures").inc();
-  trace_op("checkpoint ABORTED: " + why, op_->op_id, op_->span_root);
-  for (CkptPeer& p : op_->peers) {
-    if (p.ch != nullptr && p.ch->open()) {
-      (void)p.ch->send(encode_abort(AbortMsg{op_->op_id, why}));
-    }
-  }
-  ckpt_gc_tmp();
-
-  // Retry transient failures while the op is still safe to re-run from
-  // scratch: a SNAPSHOT abort resumes every pod in place, but a MIGRATE
-  // is only repeatable before the sync point (after it, agents may
-  // already have destroyed source pods at commit).
-  bool retryable = transient &&
-                   op_->attempt <= op_->opts.retry.max_retries &&
-                   (op_->mode == CkptMode::SNAPSHOT || !op_->continued);
+  // After the abort teardown every op is safe to re-run from scratch,
+  // except a MIGRATE past the sync point: its agents may already have
+  // destroyed the source pods at commit.
+  const OpKind kind = o.in.kind;
+  const bool retryable =
+      transient && o.attempt <= o.in.retry().max_retries &&
+      !(kind == CKPT && o.in.mode == CkptMode::MIGRATE && o.continued);
   // Aborted attempts get their ledger line too — retries mint a fresh
   // op id, so every attempt is its own row in the run history.
-  ledger_ckpt("aborted", why, transient, retryable);
+  ledger(o, "aborted", why, transient, retryable);
   if (retryable) {
-    u32 next = op_->attempt + 1;
-    sim::Time delay = retry_delay(op_->opts.retry, op_->attempt);
-    obs::metrics().counter("mgr.ckpt.retries").inc();
-    trace("retrying checkpoint in " + std::to_string(delay) +
-          "us (attempt " + std::to_string(next) + ")");
+    const u32 next = o.attempt + 1;
+    const sim::Time delay = retry_delay(o.in.retry(), o.attempt);
+    obs::metrics().counter(spec.retries_metric).inc();
+    trace("retrying " + std::string(spec.noun) + " in " +
+          std::to_string(delay) + "us (attempt " + std::to_string(next) +
+          ")");
     node_.engine().schedule(
-        delay,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         targets = std::move(op_->targets), mode = op_->mode,
-         opts = std::move(op_->opts), fn = std::move(op_->done_fn),
-         next]() mutable {
+        delay, [this, alive = std::weak_ptr<bool>(alive_),
+                in = std::move(o.in), next]() mutable {
           if (auto a = alive.lock(); !a || !*a) return;
-          if (op_ != nullptr) {
-            CheckpointReport r;
-            r.error = "manager busy at checkpoint retry";
-            r.attempts = next;
-            fn(std::move(r));
-            return;
+          if (ops_[in.kind] != nullptr) {
+            return report_failure(in,
+                                  std::string("manager busy at ") +
+                                      kKinds[in.kind].noun + " retry",
+                                  0, next);
           }
-          ckpt_begin_attempt(std::move(targets), mode, std::move(opts),
-                             std::move(fn), next);
+          begin_attempt(std::move(in), next);
         });
-    op_.reset();
+    ops_[kind].reset();
     return;
   }
-
-  CheckpointReport report;
-  report.ok = false;
-  report.error = why;
-  report.op_id = op_->op_id;
-  report.attempts = op_->attempt;
-  CheckpointDoneFn fn = std::move(op_->done_fn);
-  op_.reset();
-  fn(std::move(report));
+  OpInputs in = std::move(o.in);
+  const obs::OpId op_id = o.op_id;
+  const u32 attempt = o.attempt;
+  ops_[kind].reset();
+  report_failure(in, std::move(why), op_id, attempt);
 }
 
 // ---- Migration -------------------------------------------------------------------
@@ -783,448 +888,14 @@ void Manager::migrate(std::vector<MigrateTarget> targets, MigrateDoneFn done,
                   r.total_us = node_.now() - t0;
                   (*done_ptr)(std::move(r));
                 },
-                RestartOptions{opts.deadlines, opts.retry});
+                RestartOptions{.deadlines = opts.deadlines,
+                               .retry = opts.retry});
       },
-      CkptOptions{/*redirect_send_queues=*/true, /*fs_snapshot=*/false,
-                  /*incremental=*/false, /*chain_cap=*/8,
-                  /*codec_flags=*/opts.codec_flags,
-                  /*pipelined_stream=*/opts.pipelined_stream,
-                  /*deadlines=*/opts.deadlines, /*retry=*/opts.retry});
-}
-
-// ---- Restart ---------------------------------------------------------------------
-
-void Manager::restart(std::vector<Target> targets,
-                      std::map<std::string, ckpt::NetMeta> metas,
-                      RestartDoneFn done, RestartOptions opts) {
-  if (rop_ != nullptr) {
-    RestartReport r;
-    r.error = "manager busy";
-    done(std::move(r));
-    return;
-  }
-  if (metas.empty()) metas = last_metas_;
-
-  // Derive the restart schedule from the meta-data tables.  Failures
-  // here are configuration errors, never retried.
-  std::vector<ckpt::NetMeta> meta_list;
-  for (auto& t : targets) {
-    auto it = metas.find(t.pod_name);
-    if (it == metas.end()) {
-      RestartReport r;
-      r.error = "no meta-data for pod " + t.pod_name;
-      done(std::move(r));
-      return;
-    }
-    meta_list.push_back(it->second);
-  }
-  auto plan = build_restart_plan(meta_list);
-  if (!plan) {
-    RestartReport r;
-    r.error = "schedule: " + plan.status().to_string();
-    done(std::move(r));
-    return;
-  }
-  if (last_redirect_) {
-    // The checkpoint shipped each covered connection's send queue to the
-    // agent receiving its peer's stream; mark those entries so the
-    // restore waits for the records.  A record for pod X's connection is
-    // produced only if the sender (the peer) knew X's destination agent,
-    // i.e. X's vip was in the advertised map.
-    for (auto& [vip, meta] : plan.value().pod_meta) {
-      if (last_redirect_covered_.count(vip) == 0) continue;
-      for (auto& e : meta.entries) {
-        if ((e.state == ckpt::ConnState::FULL_DUPLEX ||
-             e.state == ckpt::ConnState::HALF_DUPLEX) &&
-            last_redirect_covered_.count(e.target.ip) > 0) {
-          e.redirect_expected = true;
-        }
-      }
-    }
-  }
-
-  // New placement: each pod's virtual address now resolves to the real
-  // address of the agent restarting it.
-  std::vector<std::pair<net::IpAddr, net::IpAddr>> locations;
-  std::vector<ckpt::NetMeta> peer_metas;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    locations.emplace_back(meta_list[i].pod_vip, targets[i].agent.ip);
-    peer_metas.push_back(plan.value().pod_meta[meta_list[i].pod_vip]);
-  }
-
-  restart_begin_attempt(std::move(targets), std::move(peer_metas),
-                        std::move(locations), std::move(opts),
-                        std::move(done), 1);
-}
-
-void Manager::restart_begin_attempt(
-    std::vector<Target> targets, std::vector<ckpt::NetMeta> peer_metas,
-    std::vector<std::pair<net::IpAddr, net::IpAddr>> locations,
-    RestartOptions opts, RestartDoneFn done, u32 attempt) {
-  rop_ = std::make_unique<RestartState>();
-  rop_->targets = std::move(targets);
-  rop_->peer_metas = std::move(peer_metas);
-  rop_->locations = std::move(locations);
-  rop_->opts = std::move(opts);
-  rop_->attempt = attempt;
-  rop_->t_start = node_.now();
-  rop_->done_fn = std::move(done);
-  rop_->op_id = obs::next_op_id();
-  obs::metrics().counter("mgr.ops_started").inc();
-  if (rop_->opts.heartbeat_us > 0) {
-    health_.set_policy(obs::ClusterHealth::Policy{
-        rop_->opts.warn_lag_us, 3 * rop_->opts.heartbeat_us});
-    std::vector<std::string> pods;
-    for (const Target& t : rop_->targets) pods.push_back(t.pod_name);
-    health_.op_begin(rop_->op_id, "restart", rop_->t_start, pods);
-  }
-  if (obs::SpanRecorder* r = rec()) {
-    rop_->span_root = r->begin_at(rop_->t_start, "mgr.restart", "manager", 0,
-                                  rop_->op_id);
-    // The restart schedule: record each connection's discard/redirect
-    // decision so the offline analyzer can check recv >= acked on the
-    // restored pairs without the images.
-    for (const ckpt::NetMeta& meta : rop_->peer_metas) {
-      for (const auto& e : meta.entries) {
-        if (e.state != ckpt::ConnState::FULL_DUPLEX &&
-            e.state != ckpt::ConnState::HALF_DUPLEX) {
-          continue;
-        }
-        r->event_at(rop_->t_start, "manager",
-                    "sched.conn vip=" + meta.pod_vip.to_string() + " peer=" +
-                        e.target.ip.to_string() +
-                        " discard=" + std::to_string(e.discard_send) +
-                        (e.redirect_expected ? " redirect" : ""),
-                    rop_->span_root, rop_->op_id);
-      }
-    }
-  }
-  restart_start();
-}
-
-void Manager::restart_start() {
-  trace_op("1: send 'restart' + meta-data to " +
-               std::to_string(rop_->targets.size()) + " agents",
-           rop_->op_id, rop_->span_root);
-  rop_->peers.reserve(rop_->targets.size());
-  for (const Target& t : rop_->targets) {
-    RestartPeer peer;
-    peer.target = t;
-    peer.ch = connect_channel(node_.host_stack(), t.agent);
-    rop_->peers.push_back(std::move(peer));
-  }
-  for (std::size_t i = 0; i < rop_->peers.size(); ++i) {
-    RestartPeer& peer = rop_->peers[i];
-    if (peer.ch == nullptr) {
-      restart_fail("cannot connect to agent " + peer.target.agent.to_string(),
-                   /*transient=*/true);
-      return;
-    }
-    peer.ch->set_on_msg(
-        [this, i, alive = std::weak_ptr<bool>(alive_)](Bytes msg) {
-          if (auto a = alive.lock(); a && *a) {
-            restart_on_msg(i, std::move(msg));
-          }
-        });
-    peer.ch->set_on_closed([this, i, alive = std::weak_ptr<bool>(alive_)] {
-      if (auto a = alive.lock(); a && *a) restart_on_closed(i);
-    });
-
-    RestartCmd cmd;
-    cmd.op_id = rop_->op_id;
-    cmd.parent_span = rop_->span_root;
-    cmd.pod_name = peer.target.pod_name;
-    cmd.source_uri = peer.target.uri;
-    cmd.meta = rop_->peer_metas[i];
-    cmd.locations = rop_->locations;
-    cmd.stream_wait_us = rop_->opts.deadlines.agent_stream_us;
-    cmd.heartbeat_us = rop_->opts.heartbeat_us;
-    cmd.replace_existing = rop_->opts.replace_existing;
-    cmd.pipelined = rop_->opts.pipelined;
-    cmd.lazy = rop_->opts.lazy;
-    cmd.lazy_hot_permille = rop_->opts.lazy_hot_permille;
-    cmd.lazy_wait_us = rop_->opts.deadlines.lazy_us;
-    (void)peer.ch->send(encode_restart_cmd(cmd));
-  }
-
-  const Deadlines& dl = rop_->opts.deadlines;
-  if (dl.connect_us > 0) {
-    rop_->connect_deadline = node_.engine().schedule(
-        dl.connect_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ == nullptr || rop_->op_id != id) return;
-          rop_->connect_deadline = 0;
-          restart_deadline_expired("connect");
-        });
-  }
-  if (dl.restart_us > 0) {
-    rop_->phase_deadline = node_.engine().schedule(
-        dl.restart_us,
-        [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ == nullptr || rop_->op_id != id) return;
-          rop_->phase_deadline = 0;
-          restart_deadline_expired("restart_wait");
-        });
-  }
-}
-
-void Manager::restart_on_msg(std::size_t idx, Bytes msg) {
-  if (rop_ == nullptr || rop_->finished) return;
-  auto type = peek_type(msg);
-  if (!type) return;
-
-  switch (type.value()) {
-    case MsgType::RESTART_DONE: {
-      auto m = decode_restart_done(msg);
-      if (!m) return restart_fail("bad restart report", /*transient=*/false);
-      RestartPeer& peer = rop_->peers[idx];
-      peer.done_received = true;
-      peer.done = m.value();
-      health_.pod_done(rop_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return restart_fail("agent reported restart failure for " +
-                                m.value().pod_name + ": " + m.value().error,
-                            m.value().transient);
-      }
-      trace_op("2: 'done' received from " + peer.target.pod_name,
-               rop_->op_id, rop_->span_root);
-      restart_maybe_finish();
-      break;
-    }
-    case MsgType::LAZY_DONE: {
-      auto m = decode_lazy_done(msg);
-      if (!m) return restart_fail("bad lazy report", /*transient=*/false);
-      RestartPeer& peer = rop_->peers[idx];
-      peer.lazy_received = true;
-      peer.lazy = m.value();
-      health_.pod_done(rop_->op_id, m.value().pod_name, node_.now());
-      if (!m.value().ok) {
-        return restart_fail("agent reported lazy-restore failure for " +
-                                m.value().pod_name + ": " + m.value().error,
-                            m.value().transient);
-      }
-      trace_op("6: 'lazy-done' received from " + peer.target.pod_name,
-               rop_->op_id, rop_->span_lazy_wait);
-      restart_maybe_finish();
-      break;
-    }
-    case MsgType::HEARTBEAT: {
-      auto m = decode_heartbeat(msg);
-      if (!m) break;
-      obs::metrics().counter("mgr.hb.received").inc();
-      health_.heartbeat(rop_->op_id, m.value().pod_name, m.value().phase,
-                        node_.now());
-      health_drain_warnings(rop_->op_id, rop_->span_root);
-      break;
-    }
-    case MsgType::PROGRESS: {
-      auto m = decode_progress(msg);
-      if (!m) break;
-      obs::metrics().counter("mgr.progress.received").inc();
-      const ProgressMsg& p = m.value();
-      health_.progress(rop_->op_id, p.pod_name, p.phase, node_.now(),
-                       p.bytes_done, p.bytes_expected, p.throughput_bps,
-                       p.eta_us);
-      health_drain_warnings(rop_->op_id, rop_->span_root);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void Manager::restart_on_closed(std::size_t idx) {
-  if (rop_ == nullptr || rop_->finished) return;
-  restart_fail("lost connection to agent of pod " +
-                   rop_->peers[idx].target.pod_name,
-               /*transient=*/true);
-}
-
-void Manager::restart_maybe_finish() {
-  for (const RestartPeer& p : rop_->peers) {
-    if (!p.done_received) return;
-  }
-  // Every pod has reported done — they are all resumed, so the
-  // application's downtime ends HERE, even if lazy cold-region fills are
-  // still in flight (DESIGN.md §13).  Record the instant exactly once;
-  // later LAZY_DONE arrivals re-enter this function with it already set.
-  if (rop_->t_downtime_end == 0) {
-    rop_->t_downtime_end = node_.now();
-    restart_cancel_deadlines();  // restart phase is over
-    bool lazy = false;
-    for (const RestartPeer& p : rop_->peers) {
-      if (p.done.lazy_pending && !p.lazy_received) lazy = true;
-    }
-    if (lazy) {
-      trace_op("3b: all pods resumed (downtime over); lazy fills in flight",
-               rop_->op_id, rop_->span_root);
-      if (obs::SpanRecorder* r = rec()) {
-        rop_->span_lazy_wait =
-            r->begin_at(node_.now(), "mgr.restart.lazy_wait", "manager",
-                        rop_->span_root, rop_->op_id);
-      }
-      if (rop_->opts.deadlines.lazy_us > 0) {
-        rop_->phase_deadline = node_.engine().schedule(
-            rop_->opts.deadlines.lazy_us,
-            [this, alive = std::weak_ptr<bool>(alive_), id = rop_->op_id] {
-              if (auto a = alive.lock(); !a || !*a) return;
-              if (rop_ == nullptr || rop_->op_id != id) return;
-              rop_->phase_deadline = 0;
-              restart_deadline_expired("lazy_wait");
-            });
-      }
-    }
-  }
-  for (const RestartPeer& p : rop_->peers) {
-    if (p.done.lazy_pending && !p.lazy_received) return;
-  }
-  rop_->finished = true;
-  restart_cancel_deadlines();
-  health_.op_end(rop_->op_id, node_.now(), /*ok=*/true);
-  RestartReport report;
-  report.ok = true;
-  report.op_id = rop_->op_id;
-  report.attempts = rop_->attempt;
-  report.total_us = node_.now() - rop_->t_start;
-  report.downtime_us = rop_->t_downtime_end - rop_->t_start;
-  for (const RestartPeer& p : rop_->peers) {
-    report.agents.push_back(p.done);
-    report.max_connectivity_us =
-        std::max(report.max_connectivity_us, p.done.connectivity_us);
-    report.max_net_restore_us =
-        std::max(report.max_net_restore_us, p.done.net_restore_us);
-    if (p.lazy_received) {
-      report.max_lazy_us = std::max(report.max_lazy_us, p.lazy.lazy_us);
-      report.lazy_faults += p.lazy.faults;
-      report.lazy_bytes += p.lazy.lazy_bytes;
-    }
-  }
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), rop_->span_lazy_wait);
-    r->end_at(node_.now(), rop_->span_root);
-  }
-  obs::metrics().counter("mgr.restarts").inc();
-  obs::metrics().histogram("mgr.restart.total_us").observe(report.total_us);
-  obs::metrics()
-      .histogram("mgr.restart.downtime_us")
-      .observe(report.downtime_us);
-  trace_op("restart complete in " + std::to_string(report.total_us) +
-               "us (downtime " + std::to_string(report.downtime_us) + "us)",
-           rop_->op_id, rop_->span_root);
-  ledger_restart("ok", "", /*transient=*/false, /*will_retry=*/false);
-  RestartDoneFn fn = std::move(rop_->done_fn);
-  rop_.reset();
-  fn(std::move(report));
-}
-
-void Manager::restart_cancel_deadlines() {
-  if (rop_ == nullptr) return;
-  if (rop_->connect_deadline != 0) {
-    (void)node_.engine().cancel(rop_->connect_deadline);
-    rop_->connect_deadline = 0;
-  }
-  if (rop_->phase_deadline != 0) {
-    (void)node_.engine().cancel(rop_->phase_deadline);
-    rop_->phase_deadline = 0;
-  }
-}
-
-void Manager::restart_deadline_expired(const std::string& phase) {
-  if (rop_ == nullptr || rop_->finished) return;
-  std::string stalled;
-  for (const RestartPeer& p : rop_->peers) {
-    bool waiting;
-    if (phase == "connect") {
-      waiting = p.ch == nullptr || !p.ch->established();
-    } else if (phase == "lazy_wait") {
-      waiting = p.done_received && p.done.lazy_pending && !p.lazy_received;
-    } else {
-      waiting = !p.done_received;
-    }
-    if (!waiting) continue;
-    if (!stalled.empty()) stalled += ",";
-    stalled += p.target.pod_name + "@" + p.target.agent.to_string();
-    if (const obs::PodHealth* ph =
-            health_.pod(rop_->op_id, p.target.pod_name);
-        ph != nullptr && ph->beacons > 0) {
-      stalled += "(phase=" + ph->phase + " hb_age=" +
-                 obs::vtime_us(node_.now() - ph->last_seen_us) + ")";
-    }
-  }
-  if (stalled.empty()) return;
-  obs::metrics().counter("mgr.phase.deadline_expired").inc();
-  restart_fail("phase deadline expired: phase=" + phase + " stalled=" +
-                   stalled,
-               /*transient=*/true);
-}
-
-void Manager::restart_fail(const std::string& why, bool transient) {
-  if (rop_ == nullptr || rop_->finished) return;
-  rop_->finished = true;
-  restart_cancel_deadlines();
-  health_.op_end(rop_->op_id, node_.now(), /*ok=*/false);
-  ZLOG_WARN("manager: restart failed: " << why);
-  obs::dump_op_failure(rec(), "restart_fail", rop_->op_id, "manager", why,
-                       node_.now());
-  if (obs::SpanRecorder* r = rec()) {
-    r->end_at(node_.now(), rop_->span_lazy_wait);
-    r->end_at(node_.now(), rop_->span_root);
-  }
-  obs::metrics().counter("mgr.restart_failures").inc();
-  trace_op("restart ABORTED: " + why, rop_->op_id, rop_->span_root);
-  // Mirror of the checkpoint abort: agents that already (or partially)
-  // restored their pod tear it down, so a failed coordinated restart
-  // never leaves half the application running.
-  for (RestartPeer& p : rop_->peers) {
-    if (p.ch != nullptr && p.ch->open()) {
-      (void)p.ch->send(encode_abort(AbortMsg{rop_->op_id, why}));
-    }
-  }
-
-  // The abort teardown above makes a whole-op re-run safe: every target
-  // agent is back to not hosting the pod.
-  bool retryable =
-      transient && rop_->attempt <= rop_->opts.retry.max_retries;
-  ledger_restart("aborted", why, transient, retryable);
-  if (retryable) {
-    u32 next = rop_->attempt + 1;
-    sim::Time delay = retry_delay(rop_->opts.retry, rop_->attempt);
-    obs::metrics().counter("mgr.restart.retries").inc();
-    trace("retrying restart in " + std::to_string(delay) + "us (attempt " +
-          std::to_string(next) + ")");
-    node_.engine().schedule(
-        delay,
-        [this, alive = std::weak_ptr<bool>(alive_),
-         targets = std::move(rop_->targets),
-         peer_metas = std::move(rop_->peer_metas),
-         locations = std::move(rop_->locations), opts = std::move(rop_->opts),
-         fn = std::move(rop_->done_fn), next]() mutable {
-          if (auto a = alive.lock(); !a || !*a) return;
-          if (rop_ != nullptr) {
-            RestartReport r;
-            r.error = "manager busy at restart retry";
-            r.attempts = next;
-            fn(std::move(r));
-            return;
-          }
-          restart_begin_attempt(std::move(targets), std::move(peer_metas),
-                                std::move(locations), std::move(opts),
-                                std::move(fn), next);
-        });
-    rop_.reset();
-    return;
-  }
-
-  RestartReport report;
-  report.ok = false;
-  report.error = why;
-  report.op_id = rop_->op_id;
-  report.attempts = rop_->attempt;
-  RestartDoneFn fn = std::move(rop_->done_fn);
-  rop_.reset();
-  fn(std::move(report));
+      CkptOptions{.redirect_send_queues = true,
+                  .codec_flags = opts.codec_flags,
+                  .pipelined_stream = opts.pipelined_stream,
+                  .deadlines = opts.deadlines,
+                  .retry = opts.retry});
 }
 
 }  // namespace zapc::core

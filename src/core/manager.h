@@ -263,7 +263,9 @@ class Manager {
     return last_metas_;
   }
 
-  bool busy() const { return op_ != nullptr || rop_ != nullptr; }
+  bool busy() const {
+    return ops_[CKPT] != nullptr || ops_[RESTART] != nullptr;
+  }
 
   // ---- Introspection plane (DESIGN.md §9) ----------------------------------
 
@@ -312,104 +314,136 @@ class Manager {
   void abort_current(const std::string& why);
 
  private:
-  struct CkptPeer {
-    Target target;
-    std::unique_ptr<MsgChannel> ch;
-    bool meta_received = false;
-    bool done_received = false;
-    CkptDone done;
-    // COW mode: set when this peer's background drain has reported in
-    // (only meaningful when done.drain_pending).
-    bool drain_received = false;
-    DrainDone drain;
+  /// The two coordinated op kinds.  Each owns one op slot, so a restart
+  /// may run while a checkpoint does; checkpoint() refuses only while a
+  /// checkpoint runs, restart() only while a restart runs.
+  enum OpKind : u8 { CKPT = 0, RESTART = 1 };
+  /// Every phase an op can wait in; each has its own watchdog deadline.
+  enum Phase : u8 {
+    CONNECT, META_WAIT, DONE_WAIT, RESTART_WAIT, DRAIN_WAIT, LAZY_WAIT,
+    kPhaseCount
   };
-  struct CkptState {
-    std::vector<CkptPeer> peers;
-    std::vector<Target> targets;  // kept verbatim for retries
-    CkptOptions opts;
-    CkptMode mode{};
-    bool redirect = false;
-    u32 attempt = 1;
-    sim::Time t_start = 0;
-    sim::Time t_sync = 0;
-    CheckpointReport report;
-    CheckpointDoneFn done_fn;
-    bool continued = false;
-    bool finished = false;
-    /// COW mode: instant every pod had resumed (all CKPT_DONEs in);
-    /// the op's downtime ends here even while drains are in flight.
-    sim::Time t_downtime_end = 0;
-    obs::OpId op_id = 0;
-    obs::SpanId span_root = 0;       // "mgr.ckpt"
-    obs::SpanId span_meta_wait = 0;  // invocation → sync point
-    obs::SpanId span_done_wait = 0;  // sync point → all done
-    obs::SpanId span_drain_wait = 0; // all done → all drains in (COW)
-    sim::EventId connect_deadline = 0;  // 0 = not armed
-    sim::EventId phase_deadline = 0;    // meta_wait, done_wait, drain_wait
+  /// Per-phase and per-kind data of the one op lifecycle.
+  struct PhaseSpec {
+    const char* name;  // in deadline failure reasons
+    const char* span;  // the Manager's wait span, nullptr = none
+    sim::Time Deadlines::*limit;
   };
+  struct KindSpec {
+    const char* kind;  // ledger and health kind
+    const char* noun;  // log, trace and report texts
+    const char* root_span;
+    Phase first;       // armed at invocation
+    Phase done;        // ended by the done reports
+    Phase background;  // after the downtime ends
+    /// Whether a done report announcing a background leg closes the pod's
+    /// health entry.  A checkpoint's does not: drain beacons keep flowing.
+    /// A restart's does: the agent stops beaconing at RESTART_DONE.
+    bool done_closes_health;
+    const char *send_trace, *done_trace, *background_start_trace,
+        *background_trace;
+    const char *bad_done, *bad_background, *done_failure, *background_failure;
+    const char* fail_tag;  // postmortem file prefix
+    const char *ops_metric, *failures_metric, *retries_metric, *total_metric,
+        *downtime_metric;
+  };
+  static const PhaseSpec kPhases[kPhaseCount];
+  static const KindSpec kKinds[2];
 
-  struct RestartPeer {
-    Target target;
-    std::unique_ptr<MsgChannel> ch;
-    bool done_received = false;
-    RestartDone done;
-    // Lazy restore: set when this peer's background fill window has
-    // reported in (only meaningful when done.lazy_pending).
-    bool lazy_received = false;
-    LazyDone lazy;
-  };
-  struct RestartState {
-    std::vector<RestartPeer> peers;
-    std::vector<Target> targets;  // kept verbatim for retries
-    /// Per-target modified meta-data (plan output) and the new virtual →
-    /// real placement, both reused verbatim on retry.
+  /// What an op was invoked with, kept verbatim so a retry re-runs it.
+  struct OpInputs {
+    OpKind kind = CKPT;
+    std::vector<Target> targets;
+    // Checkpoint.
+    CkptMode mode{};
+    CkptOptions copts;
+    CheckpointDoneFn ckpt_fn;
+    // Restart: per-target modified meta-data (plan output) and the new
+    // virtual → real placement.
+    RestartOptions ropts;
     std::vector<ckpt::NetMeta> peer_metas;
     std::vector<std::pair<net::IpAddr, net::IpAddr>> locations;
-    RestartOptions opts;
-    u32 attempt = 1;
-    sim::Time t_start = 0;
-    RestartReport report;
-    RestartDoneFn done_fn;
-    bool finished = false;
-    /// Lazy mode: instant every pod had resumed (all RESTART_DONEs in);
-    /// the op's downtime ends here even while lazy fills are in flight.
-    sim::Time t_downtime_end = 0;
-    obs::OpId op_id = 0;
-    obs::SpanId span_root = 0;  // "mgr.restart"
-    obs::SpanId span_lazy_wait = 0;  // all done → all lazy fills in
-    sim::EventId connect_deadline = 0;  // 0 = not armed
-    sim::EventId phase_deadline = 0;    // restart_wait, lazy_wait
+    RestartDoneFn restart_fn;
+
+    const Deadlines& deadlines() const {
+      return kind == CKPT ? copts.deadlines : ropts.deadlines;
+    }
+    const RetryPolicy& retry() const {
+      return kind == CKPT ? copts.retry : ropts.retry;
+    }
+    sim::Time heartbeat_us() const {
+      return kind == CKPT ? copts.heartbeat_us : ropts.heartbeat_us;
+    }
+    sim::Time warn_lag_us() const {
+      return kind == CKPT ? copts.warn_lag_us : ropts.warn_lag_us;
+    }
   };
 
-  /// (Re)starts a checkpoint attempt: creates CkptState from the saved
-  /// inputs, then connects and broadcasts the commands.
-  void ckpt_begin_attempt(std::vector<Target> targets, CkptMode mode,
-                          CkptOptions opts, CheckpointDoneFn done,
-                          u32 attempt);
-  void ckpt_start();
-  void ckpt_on_msg(std::size_t idx, Bytes msg);
-  void ckpt_on_closed(std::size_t idx);
-  void ckpt_maybe_continue();
-  void ckpt_maybe_finish();
-  void ckpt_cancel_deadlines();
-  void ckpt_deadline_expired(const std::string& phase);
-  /// Removes the peers' half-written `<uri>.tmp` objects after an abort.
-  void ckpt_gc_tmp();
-  void ckpt_fail(const std::string& why, bool transient);
+  /// One agent of an op: its channel and the reports it has sent.  The
+  /// done report (CKPT_DONE / RESTART_DONE) ends the pod's downtime; it
+  /// may announce a background leg (COW drain / lazy fill) that ends in
+  /// a DRAIN_DONE / LAZY_DONE.
+  struct Peer {
+    Target target;
+    std::unique_ptr<MsgChannel> ch;
+    bool meta_received = false;  // checkpoint: META_REPORT in
+    bool done_received = false;
+    bool bg_pending = false;     // done report announced a background leg
+    bool bg_received = false;
+    CkptDone ckpt;  // checkpoint reports
+    DrainDone drain;
+    RestartDone restart;  // restart reports
+    LazyDone lazy;
+  };
 
-  void restart_begin_attempt(std::vector<Target> targets,
-                             std::vector<ckpt::NetMeta> peer_metas,
-                             std::vector<std::pair<net::IpAddr, net::IpAddr>>
-                                 locations,
-                             RestartOptions opts, RestartDoneFn done,
-                             u32 attempt);
-  void restart_start();
-  void restart_on_msg(std::size_t idx, Bytes msg);
-  void restart_on_closed(std::size_t idx);
-  void restart_maybe_finish();
-  void restart_cancel_deadlines();
-  void restart_deadline_expired(const std::string& phase);
-  void restart_fail(const std::string& why, bool transient);
+  struct Op {
+    OpInputs in;
+    std::vector<Peer> peers;
+    u32 attempt = 1;
+    sim::Time t_start = 0;
+    sim::Time t_sync = 0;  // checkpoint: continue broadcast
+    /// Instant every pod had resumed (all done reports in); the op's
+    /// downtime ends here even while background legs are in flight.
+    sim::Time t_downtime_end = 0;
+    bool continued = false;  // checkpoint: past the barrier
+    bool finished = false;
+    /// Checkpoint: meta-data gathered from the META_REPORTs.
+    CheckpointReport report;
+    obs::OpId op_id = 0;
+    obs::SpanId span_root = 0;
+    obs::SpanId spans[kPhaseCount] = {};  // per-phase wait spans
+    sim::EventId connect_deadline = 0;    // 0 = not armed
+    sim::EventId phase_deadline = 0;      // every other phase
+    sim::EventId& deadline(Phase p) {
+      return p == CONNECT ? connect_deadline : phase_deadline;
+    }
+  };
+
+  /// (Re)starts an op attempt: opens its spans and health entry, then
+  /// connects to the agents and broadcasts the commands.
+  void begin_attempt(OpInputs in, u32 attempt);
+  void start(Op& o);
+  /// Checkpoint: the (vip → receiving agent) map of the redirect
+  /// optimization; records the covered pods for the next restart.
+  using PeerAgents = std::vector<std::pair<net::IpAddr, net::SockAddr>>;
+  PeerAgents redirect_map(const Op& o);
+  /// The kind-specific command for peer `i`.
+  Bytes command(const Op& o, std::size_t i, const PeerAgents& peer_agents);
+  void arm_deadline(Op& o, Phase phase);
+  void on_msg(OpKind kind, std::size_t idx, Bytes msg);
+  /// A decoded done report (CKPT_DONE / RESTART_DONE) or background-leg
+  /// report (DRAIN_DONE / LAZY_DONE), stored in the peer's `slot`.
+  template <class Report>
+  void on_report(Op& o, Peer& peer, Result<Report> m, Report& slot);
+  void on_closed(OpKind kind, std::size_t idx);
+  void maybe_continue(Op& o);
+  void maybe_finish(Op& o);
+  void cancel_deadlines(Op& o);
+  void deadline_expired(Op& o, Phase phase);
+  void fail(Op& o, std::string why, bool transient);
+  /// Hands a failure report to the op's caller.
+  static void report_failure(OpInputs& in, std::string error, obs::OpId op,
+                             u32 attempts);
 
   /// Backoff delay before retry number `attempt` (1-based), jittered.
   sim::Time retry_delay(const RetryPolicy& p, u32 attempt);
@@ -421,10 +455,8 @@ class Manager {
   /// Writes the op's ledger line (no-op with no ledger attached).  Must
   /// run after the op's spans are closed — the critical-path attribution
   /// reads the finished tree — and before the op state is reset.
-  void ledger_ckpt(const std::string& outcome, const std::string& error,
-                   bool transient, bool will_retry);
-  void ledger_restart(const std::string& outcome, const std::string& error,
-                      bool transient, bool will_retry);
+  void ledger(const Op& o, const std::string& outcome,
+              const std::string& error, bool transient, bool will_retry);
   /// Fills the attribution + straggler half of a ledger entry from the
   /// span stream and live health model; counts attribution failures.
   void ledger_attribute(obs::LedgerEntry& e);
@@ -441,8 +473,7 @@ class Manager {
 
   os::Node& node_;
   Trace* trace_;
-  std::unique_ptr<CkptState> op_;
-  std::unique_ptr<RestartState> rop_;
+  std::unique_ptr<Op> ops_[2];  // indexed by OpKind
   std::map<std::string, ckpt::NetMeta> last_metas_;
   bool last_redirect_ = false;  // last checkpoint used the redirect opt.
   // Pods whose destination agents were advertised for the redirect (only

@@ -33,6 +33,37 @@ net::SockAddr get_addr(Decoder& d) {
 
 }  // namespace
 
+Result<Uri> parse_uri(const std::string& s) {
+  auto sep = s.find("://");
+  if (sep == std::string::npos) return Status(Err::INVALID, "bad uri " + s);
+  Uri u;
+  u.scheme = s.substr(0, sep);
+  std::string rest = s.substr(sep + 3);
+  if (u.scheme == "san" || u.scheme == "stream") {
+    u.path = rest;
+    return u;
+  }
+  if (u.scheme == "agent") {
+    auto slash = rest.find('/');
+    if (slash == std::string::npos) {
+      return Status(Err::INVALID, "agent uri missing tag: " + s);
+    }
+    u.path = rest.substr(slash + 1);
+    std::string hostport = rest.substr(0, slash);
+    auto colon = hostport.find(':');
+    if (colon == std::string::npos) {
+      return Status(Err::INVALID, "agent uri missing port: " + s);
+    }
+    auto ip = net::IpAddr::parse(hostport.substr(0, colon));
+    if (!ip) return ip.status();
+    u.endpoint.ip = ip.value();
+    u.endpoint.port = static_cast<u16>(
+        std::stoul(hostport.substr(colon + 1)));
+    return u;
+  }
+  return Status(Err::INVALID, "unknown uri scheme: " + s);
+}
+
 Result<MsgType> peek_type(const Bytes& msg) {
   if (msg.empty()) return Status(Err::PROTO, "empty message");
   return static_cast<MsgType>(msg[0]);

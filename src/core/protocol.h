@@ -357,6 +357,15 @@ Bytes encode_health_query(const HealthQuery& m = {});
 Bytes encode_health_snapshot(const HealthSnapshotMsg& m);
 Bytes encode_supervise_cmd(const SuperviseCmd& m);
 
+/// A checkpoint destination or restart source: "san://<path>",
+/// "agent://<ip>:<port>/<tag>" or "stream://<tag>".
+struct Uri {
+  std::string scheme;
+  std::string path;        // san path or stream tag
+  net::SockAddr endpoint;  // agent scheme only
+};
+Result<Uri> parse_uri(const std::string& s);
+
 /// Peeks the type of an encoded message.
 Result<MsgType> peek_type(const Bytes& msg);
 

@@ -490,10 +490,7 @@ Result<OpAttribution> attribution_from_json(const Json& j) {
   a.start = num(j, "start_us");
   a.end = num(j, "end_us");
   a.downtime_us = num(j, "downtime_us");
-  // Entries written before the COW split carry no latency field: the op
-  // had no background tail, so latency == downtime.
   a.latency_us = num(j, "latency_us");
-  if (a.latency_us == 0) a.latency_us = a.downtime_us;
   a.critical_pod = str("critical_pod");
   a.critical_phase = str("critical_phase");
   a.critical_phase_us = num(j, "critical_phase_us");

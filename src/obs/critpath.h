@@ -102,8 +102,7 @@ Result<OpAttribution> attribute_op(const std::vector<SpanRecord>& spans,
 ///                     "edge", "pct" } ... ],
 ///     "drain_segments": [ same shape, "pct" relative to latency ],
 ///     "slack": [ { "pod", "slack_us" } ... ] }
-/// Loader back-compat: entries written before the COW split carry no
-/// "latency_us"/"drain_segments"; latency_us defaults to downtime_us.
+/// "drain_segments" is omitted when the op had no background tail.
 Json attribution_to_json(const OpAttribution& a);
 Result<OpAttribution> attribution_from_json(const Json& j);
 

@@ -4,7 +4,7 @@
 //
 // Every SpanRecorder feeds the global ring automatically; the log sink
 // (util/log.h) feeds it every line that passes the stderr threshold.
-// When a coordinated operation fails (Manager::ckpt_fail/restart_fail,
+// When a coordinated operation fails (Manager::fail for either op kind,
 // Agent::ckpt_abort, a failed restart), the failing site calls
 // dump_postmortem() and a `zapc.obs.postmortem.v1` JSON document is
 // written under postmortem/ — machine-readable evidence of the failing

@@ -78,7 +78,6 @@ Result<LedgerEntry> ledger_entry_from_json(const Json& j) {
   e.end_us = num("end_us");
   e.downtime_us = num("downtime_us");
   e.latency_us = num("latency_us");
-  if (e.latency_us == 0) e.latency_us = e.downtime_us;  // pre-COW lines
   e.pods = static_cast<u32>(num("pods"));
   if (const Json* ph = j.find("phase_us"); ph != nullptr && ph->is_obj()) {
     for (const auto& [name, v] : ph->fields()) {

@@ -39,9 +39,7 @@ struct LedgerEntry {
   /// keeps running its background drains after the pods resume, so its
   /// latency exceeds its downtime (DESIGN.md §11).
   Time downtime_us = 0;
-  /// Full op latency (start → terminal).  Loader back-compat: lines
-  /// written before the COW split carry no latency field, and the
-  /// loader folds the absent value back to downtime_us.
+  /// Full op latency (start → terminal).
   Time latency_us = 0;
   u32 pods = 0;  // agents that reported completion
   // Slowest per-phase duration across pods ("suspend", "netckpt",

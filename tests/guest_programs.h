@@ -301,7 +301,7 @@ class TimeLogger final : public os::Program {
         e.put_u64(start_);
         e.put_u64(elapsed);
         std::copy(e.bytes().begin(), e.bytes().end(), reg.begin());
-        sys.san().write("timelog", e.bytes());
+        if (!sys.san().write("timelog", e.bytes())) return StepResult::exit(1);
         return StepResult::exit(0);
       }
       default:

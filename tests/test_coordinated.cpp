@@ -494,9 +494,12 @@ TEST_F(CoordinatedTest, ConsecutiveOpsGetDistinctOpIds) {
 
 TEST_F(CoordinatedTest, FsSnapshotTakenBeforeResume) {
   start_app();
-  cl_.san().write("pods/server-pod/output.dat", Bytes{1, 2, 3});
+  ASSERT_TRUE(
+      cl_.san().write("pods/server-pod/output.dat", Bytes{1, 2, 3}).is_ok());
   cl_.run_for(20 * sim::kMillisecond);
 
+  Manager::CkptOptions opts;
+  opts.fs_snapshot = true;
   bool done = false;
   Manager::CheckpointReport cr;
   manager_->checkpoint(
@@ -509,8 +512,7 @@ TEST_F(CoordinatedTest, FsSnapshotTakenBeforeResume) {
         cr = std::move(r);
         done = true;
       },
-      Manager::CkptOptions{/*redirect_send_queues=*/false,
-                           /*fs_snapshot=*/true});
+      opts);
   for (int i = 0; i < 20000 && !done; ++i) cl_.run_for(sim::kMillisecond);
   ASSERT_TRUE(done);
   ASSERT_TRUE(cr.ok);

@@ -262,7 +262,7 @@ TEST_F(CornerTest, CorruptImageFailsGracefully) {
   // Corrupt the stored image.
   Bytes img = cl_.san().read("ckpt/p1").value();
   img[img.size() / 2] ^= 0xFF;
-  cl_.san().write("ckpt/p1", img);
+  ASSERT_TRUE(cl_.san().write("ckpt/p1", img).is_ok());
 
   ASSERT_TRUE(agents_[0]->destroy_pod("p1").is_ok());
   auto rr = restart({{agents_[1]->addr(), "p1", "san://ckpt/p1"}});

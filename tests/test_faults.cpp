@@ -742,5 +742,140 @@ INSTANTIATE_TEST_SUITE_P(AllRestartPhases, RestartCrashPhaseTest,
                            return n;
                          });
 
+
+// ---- One deadline per Manager phase -----------------------------------------
+
+/// One Manager wait phase and the report whose loss stalls it.  The first
+/// such report is always server-pod's (on n1, or on n3 after a restart).
+struct PhaseDeadlineCase {
+  const char* phase;    // Deadlines phase name in the failure reason
+  MsgType dropped;      // the report the fault swallows (first one seen)
+  bool restart;         // phase belongs to the restart half
+  bool background;      // COW drain (checkpoint) / lazy fill (restart)
+};
+
+// Names the case in test listings by its phase.
+void PrintTo(const PhaseDeadlineCase& c, std::ostream* os) { *os << c.phase; }
+
+class PhaseDeadlineTest
+    : public FaultTest,
+      public ::testing::WithParamInterface<PhaseDeadlineCase> {};
+
+/// Every phase the Manager waits in has its own watchdog: losing the one
+/// report that phase waits for expires exactly that deadline, names the
+/// phase and the stalled pod@agent, aborts the op (ledgered with the
+/// same reason) and bumps mgr.phase.deadline_expired once.
+TEST_P(PhaseDeadlineTest, LostReportExpiresThePhaseDeadline) {
+  const PhaseDeadlineCase& c = GetParam();
+  start_app();
+  Manager::Deadlines dl = fast_deadlines();
+  dl.drain_us = 2 * sim::kSecond;
+  dl.lazy_us = 4 * sim::kSecond;
+  if (c.restart) {
+    if (c.background) {
+      // Ballast regions beyond the hot share, so the lazy restore
+      // defers a cold tail and each pod owes a LAZY_DONE.
+      for (const auto& [idx, pid] : {std::pair{0, server_pid_},
+                                     std::pair{1, client_pid_}}) {
+        const char* pod = idx == 0 ? "server-pod" : "client-pod";
+        for (int i = 0; i < 4; ++i) {
+          agents_[idx]->find_pod(pod)->find_process(pid)
+              ->region("ballast" + std::to_string(i), 1 << 20)
+              .assign(1 << 20, static_cast<u8>(0x40 + i));
+        }
+      }
+    }
+    ASSERT_TRUE(checkpoint().ok);
+    ASSERT_TRUE(agents_[0]->destroy_pod("server-pod").is_ok());
+    ASSERT_TRUE(agents_[1]->destroy_pod("client-pod").is_ok());
+    cl_.run_for(100 * sim::kMillisecond);
+  }
+
+  fault::FaultSpec s;
+  s.kind = fault::FaultKind::DROP_MSG;
+  s.msg_type = static_cast<u8>(c.dropped);
+  arm(s);
+
+  const u64 expired_before = counter_value("mgr.phase.deadline_expired");
+  std::string error;
+  if (c.restart) {
+    Manager::RestartOptions ropts;
+    ropts.deadlines = dl;
+    ropts.pipelined = c.background;
+    ropts.lazy = c.background;
+    auto rr = restart(2, 3, ropts);
+    EXPECT_FALSE(rr.ok);
+    error = rr.error;
+  } else {
+    Manager::CkptOptions opts;
+    opts.deadlines = dl;
+    opts.cow = c.background;
+    auto cr = checkpoint(opts);
+    EXPECT_FALSE(cr.ok);
+    error = cr.error;
+  }
+
+  const std::string want =
+      std::string("phase deadline expired: phase=") + c.phase +
+      " stalled=server-pod@" + agents_[c.restart ? 2 : 0]->addr().to_string();
+  EXPECT_EQ(error, want);
+  EXPECT_EQ(last_ledger().kind, c.restart ? "restart" : "ckpt");
+  EXPECT_EQ(last_ledger().outcome, "aborted");
+  EXPECT_EQ(last_ledger().error, want);
+  EXPECT_EQ(counter_value("mgr.phase.deadline_expired"), expired_before + 1);
+  expect_ledger_line_per_op();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPhases, PhaseDeadlineTest,
+    ::testing::Values(
+        PhaseDeadlineCase{"meta_wait", MsgType::META_REPORT, false, false},
+        PhaseDeadlineCase{"done_wait", MsgType::CKPT_DONE, false, false},
+        PhaseDeadlineCase{"drain_wait", MsgType::DRAIN_DONE, false, true},
+        PhaseDeadlineCase{"restart_wait", MsgType::RESTART_DONE, true, false},
+        PhaseDeadlineCase{"lazy_wait", MsgType::LAZY_DONE, true, true}),
+    [](const auto& info) { return std::string(info.param.phase); });
+
+TEST_F(FaultTest, LostRestartDoneIsRetriedToSuccess) {
+  start_app();
+  ASSERT_TRUE(checkpoint().ok);
+  ASSERT_TRUE(agents_[0]->destroy_pod("server-pod").is_ok());
+  ASSERT_TRUE(agents_[1]->destroy_pod("client-pod").is_ok());
+  cl_.run_for(100 * sim::kMillisecond);
+
+  fault::FaultSpec s;
+  s.kind = fault::FaultKind::DROP_MSG;
+  s.msg_type = static_cast<u8>(MsgType::RESTART_DONE);
+  arm(s);
+
+  const u64 retries_before = counter_value("mgr.restart.retries");
+  Manager::RestartOptions ropts;
+  ropts.deadlines = fast_deadlines();
+  ropts.retry.max_retries = 1;
+  ropts.retry.backoff_us = 100 * sim::kMillisecond;
+  auto rr = restart(2, 3, ropts);
+
+  // The first attempt's deadline expired; its abort tore the restored
+  // pods down again, and the fresh second attempt restored them.
+  EXPECT_TRUE(rr.ok) << rr.error;
+  EXPECT_EQ(rr.attempts, 2u);
+  EXPECT_EQ(counter_value("mgr.restart.retries"), retries_before + 1);
+  ASSERT_EQ(ledger_.entries().size(), 3u);  // checkpoint + two attempts
+  const obs::LedgerEntry& first = ledger_.entries()[1];
+  const obs::LedgerEntry& second = ledger_.entries()[2];
+  EXPECT_EQ(first.kind, "restart");
+  EXPECT_EQ(first.outcome, "aborted");
+  EXPECT_TRUE(first.will_retry);
+  EXPECT_TRUE(first.transient);
+  EXPECT_EQ(first.attempt, 1u);
+  EXPECT_EQ(second.kind, "restart");
+  EXPECT_EQ(second.outcome, "ok");
+  EXPECT_EQ(second.attempt, 2u);
+  EXPECT_NE(first.op, second.op);
+  expect_ledger_line_per_op();
+  fault::injector().clear();
+  EXPECT_EQ(wait_client(3), 0);
+}
+
 }  // namespace
 }  // namespace zapc::core

@@ -322,7 +322,8 @@ TEST_F(PostmortemTest, AgentNodeDeathDumpsOnManagerAndSurvivor) {
 }
 
 TEST_F(PostmortemTest, CorruptImageRestartDumpsRestartFail) {
-  cl_.san().write("ckpt/garbage", test::pattern_bytes(4096, 13));
+  ASSERT_TRUE(
+      cl_.san().write("ckpt/garbage", test::pattern_bytes(4096, 13)).is_ok());
   // A minimal meta table so the restart schedule builds and the garbage
   // actually reaches the agent before anything can go wrong.
   ckpt::NetMeta meta;
@@ -355,7 +356,7 @@ TEST(Robustness, SanRandomOpsBehaveLikeAMap) {
     switch (rng.below(4)) {
       case 0: {
         Bytes data = pattern_bytes(rng.below(100));
-        san.write(path, data);
+        ASSERT_TRUE(san.write(path, data).is_ok());
         model[path] = data;
         break;
       }

@@ -38,6 +38,9 @@
 // Exit 0 = every seed clean; 1 = at least one violated invariant.  The
 // offending seeds are listed, and each replays deterministically: the
 // same seed always produces the same fault schedule and event order.
+// The last line is always a ledger digest: CRC32 over the JSON of every
+// ledger line of every seed, in seed order (tools/soak_digests.txt holds
+// the expected 200-seed digests of both modes).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +60,7 @@
 #include "super/supervisor.h"
 #include "tests/guest_programs.h"
 #include "tools/trace_analysis.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 // Restores re-create guest programs through the registry by kind.
@@ -126,8 +130,10 @@ CkptOutcome run_checkpoint(os::Cluster& cl, core::Manager& manager,
   return out;
 }
 
-/// One seeded schedule; returns the list of violated invariants.
-std::vector<std::string> run_seed(u64 seed, bool verbose) {
+/// One seeded schedule; returns the list of violated invariants.  Every
+/// ledger line the seed's ops write lands in `ledger`.
+std::vector<std::string> run_seed(u64 seed, bool verbose,
+                                  obs::Ledger& ledger) {
   std::vector<std::string> bad;
   fault::injector().clear();
 
@@ -143,7 +149,6 @@ std::vector<std::string> run_seed(u64 seed, bool verbose) {
   }
   core::Manager manager(mgr_node, &trace);
   // Every op attempt must leave exactly one ledger line — asserted below.
-  obs::Ledger ledger;
   manager.set_ledger(&ledger);
   const u64 attrib_failures_before =
       counter_value("mgr.ledger.attrib_failures");
@@ -356,7 +361,8 @@ std::vector<std::string> run_seed(u64 seed, bool verbose) {
 }
 
 /// One supervised kill seed (--kill-nodes); returns violated invariants.
-std::vector<std::string> run_kill_seed(u64 seed, bool verbose) {
+std::vector<std::string> run_kill_seed(u64 seed, bool verbose,
+                                       obs::Ledger& ledger) {
   // Big enough that the transfer is still in flight when the node dies
   // and the detector + restart have run (echo moves ~60-115 MB/s of
   // virtual time; kills land before 900ms).
@@ -377,7 +383,6 @@ std::vector<std::string> run_kill_seed(u64 seed, bool verbose) {
         *nodes.back(), core::Agent::kDefaultPort, core::CostModel{}, &trace));
   }
   core::Manager manager(mgr_node, &trace);
-  obs::Ledger ledger;
   manager.set_ledger(&ledger);
 
   pod::Pod& sp = agents[0]->create_pod(vip(1), "server-pod");
@@ -545,9 +550,23 @@ int main(int argc, char** argv) {
 
   zapc::u64 failures = 0;
   std::vector<zapc::u64> bad_seeds;
+  // CRC32 over every ledger line of every seed, in seed order: the
+  // simulation is deterministic, so a refactor that claims to change no
+  // behaviour must leave this digest — retries, deadline expiries and
+  // aborts included — bit for bit unchanged.
+  zapc::u32 digest = zapc::crc32_init();
+  zapc::u64 digest_lines = 0;
   for (zapc::u64 seed = start; seed < start + nseeds; ++seed) {
-    auto problems = kill_nodes ? zapc::run_kill_seed(seed, verbose)
-                               : zapc::run_seed(seed, verbose);
+    zapc::obs::Ledger ledger;
+    auto problems = kill_nodes ? zapc::run_kill_seed(seed, verbose, ledger)
+                               : zapc::run_seed(seed, verbose, ledger);
+    for (const zapc::obs::LedgerEntry& e : ledger.entries()) {
+      const std::string line = zapc::obs::ledger_entry_to_json(e).dump();
+      digest = zapc::crc32_update(
+          digest, reinterpret_cast<const zapc::u8*>(line.data()),
+          line.size());
+      ++digest_lines;
+    }
     if (problems.empty()) continue;
     ++failures;
     bad_seeds.push_back(seed);
@@ -563,14 +582,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(nseeds),
                 static_cast<unsigned long long>(start),
                 static_cast<unsigned long long>(start + nseeds - 1));
-    return 0;
+  } else {
+    std::printf("zapc-soak: %llu of %llu seeds violated invariants:",
+                static_cast<unsigned long long>(failures),
+                static_cast<unsigned long long>(nseeds));
+    for (zapc::u64 s : bad_seeds) {
+      std::printf(" %llu", static_cast<unsigned long long>(s));
+    }
+    std::printf("\n");
   }
-  std::printf("zapc-soak: %llu of %llu seeds violated invariants:",
-              static_cast<unsigned long long>(failures),
-              static_cast<unsigned long long>(nseeds));
-  for (zapc::u64 s : bad_seeds) {
-    std::printf(" %llu", static_cast<unsigned long long>(s));
-  }
-  std::printf("\n");
-  return 1;
+  std::printf("zapc-soak%s ledger digest: crc32=%08x lines=%llu\n",
+              kill_nodes ? " --kill-nodes" : "",
+              zapc::crc32_final(digest),
+              static_cast<unsigned long long>(digest_lines));
+  return failures == 0 ? 0 : 1;
 }
